@@ -11,3 +11,11 @@ from pathlib import Path
 
 # Make `benchmarks.*` helpers importable when pytest rootdir differs.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Keep only the summary stats in written JSON: the raw per-round
+    ``stats.data`` arrays made each baseline refresh a ~70k-line diff, and
+    ``compare_baseline.py`` reads only ``stats.mean``."""
+    for bench in output_json.get("benchmarks", []):
+        bench.get("stats", {}).pop("data", None)

@@ -12,20 +12,28 @@ the V(f) recovered by the Lava fit of Table 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
-from ..power.lava import fit_lava_model
+from .. import constants
 from ..power.table import POWER4_TABLE
-from ..power.vf_curve import VoltageFrequencyCurve
+from ..power.vf_curve import LinearVFCurve, VoltageFrequencyCurve
 
 __all__ = ["default_vf_curve", "VoltageSelector"]
 
+#: ``v_min`` of :func:`repro.power.lava.fit_lava_model` on Table 1 — the
+#: one fitted number the default curve needs, committed so that building
+#: a scheduler neither imports scipy nor re-runs the fit.
+#: ``tests/test_power_vf_lava.py`` re-fits and pins it.
+TABLE1_FIT_V_MIN = 0.6845275286529459
 
-@lru_cache(maxsize=1)
+_DEFAULT_CURVE = LinearVFCurve(
+    f_min_hz=POWER4_TABLE.f_min_hz, v_min=TABLE1_FIT_V_MIN,
+    f_max_hz=POWER4_TABLE.f_max_hz, v_max=constants.NOMINAL_VDD)
+
+
 def default_vf_curve() -> VoltageFrequencyCurve:
-    """The minimum-voltage curve implied by Table 1 (computed once)."""
-    return fit_lava_model(POWER4_TABLE).vf_curve
+    """The minimum-voltage curve implied by Table 1 (the Lava fit's V(f))."""
+    return _DEFAULT_CURVE
 
 
 class VoltageSelector:

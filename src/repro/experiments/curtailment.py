@@ -29,7 +29,7 @@ from ..model.latency import POWER4_LATENCIES
 from ..model.latency_model import service_time_s
 from ..sim.cluster import Cluster
 from ..sim.driver import Simulation
-from ..sim.fleet import fallback_breakdown, fleet_stats
+from ..sim.fleet import fallback_breakdown, fleet_lane_breakdown, fleet_stats
 from ..sim.machine import MachineConfig
 from ..sim.rng import spawn_seeds
 from ..workloads.server import RequestSpec
@@ -103,7 +103,9 @@ def _run_curtailment(budget_fraction: float, *, seed: int, fast: bool,
     advances0 = fleet_stats["advances"]
     fallbacks0 = fleet_stats["fallbacks"]
     transient0 = fallback_breakdown().get("transient", 0)
+    lanes0 = fleet_lane_breakdown()
     sim.run_for(duration)
+    lanes = {k: v - lanes0[k] for k, v in fleet_lane_breakdown().items()}
 
     censored = traffic.fleet_digest(censored=True, horizon_s=duration)
     raw = traffic.fleet_digest()
@@ -127,6 +129,9 @@ def _run_curtailment(budget_fraction: float, *, seed: int, fast: bool,
         "fleet_fallbacks": float(fleet_stats["fallbacks"] - fallbacks0),
         "fleet_transient_fallbacks": float(
             fallback_breakdown().get("transient", 0) - transient0),
+        "fleet_lane_column": float(lanes["column"]),
+        "fleet_lane_spans": float(lanes["column"] + lanes["replay"]
+                                  + lanes["scalar"] + lanes["delegated"]),
     }
 
 
@@ -191,6 +196,8 @@ def run(seed: int = 2005, fast: bool = False,
     advances = sum(r["fleet_advances"] for r in results)
     fallbacks = sum(r["fleet_fallbacks"] for r in results)
     spans = advances + fallbacks
+    column = sum(r["fleet_lane_column"] for r in results)
+    lane_spans = sum(r["fleet_lane_spans"] for r in results)
     compliance = [r["compliance"] for r in slo_rows]
     monotone = all(b >= a - 0.02
                    for a, b in zip(compliance, compliance[1:]))
@@ -207,6 +214,10 @@ def run(seed: int = 2005, fast: bool = False,
         # columnar kernel kept resident across all runs (1.0 when the
         # kernel is disabled and no spans were attempted).
         "fleet_residency": advances / spans if spans else 1.0,
+        # Lane-level: fraction of lane-spans the vector pass carried
+        # (the rest crossed, ran scalar, or were delegated).
+        "fleet_column_fraction": (column / lane_spans if lane_spans
+                                  else 1.0),
         "fleet_transient_fallbacks": sum(
             r["fleet_transient_fallbacks"] for r in results),
     }

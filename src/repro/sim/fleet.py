@@ -54,11 +54,28 @@ Residency matrix (what lives in columns):
   all identical to the scalar path.  The drained lane re-derives at the
   next span start (idle columns, fresh power), exactly when the scalar
   re-reads ``core_power_w``.
-* **Pending frequency settling** stays resident on unbanked machines as a
-  *volatile* chunked lane: ``core.advance`` cuts the settle boundary each
-  span and the lane re-derives (power included) every span start.  Queues
-  mixing a ONCE job with other work ride the same volatile-chunked path
-  until they drain back into columns.
+* **Multi-job run queues** (LOOP, ONCE or mixed; unbanked machines) are
+  resident busy lanes.  The dispatcher's quantum left lives in the ``ql``
+  column for those lanes only, and the vector pass charges it with
+  ``Dispatcher.account_run``'s own ``quantum_left -= ran`` op; a lane whose
+  quantum would expire inside or at the end of the span is one more
+  crossing.  The replay rotates the queue and resets the quantum at
+  expiry, and after a ONCE completion with work still queued it pops the
+  finished job, stamps the next one's start at the crossing and keeps
+  slicing (one jitter draw per slice), in the scalar slice loop's order.
+  Only the current job's cursor lives in columns.  A drained queue falls
+  into the idle continuation above.
+* **Pending frequency settling, overhead debt and custom counter banks**
+  keep the machine resident but run that core as a chunked lane: the
+  scalar ``core.advance`` each span.  Settling lanes, and debt or custom
+  banks under a queue holding ONCE work, are *volatile* — re-derived
+  (power included) at every span start until they drain back into
+  columns.
+
+``fleet_lane_breakdown()`` counts lane-spans by how they advanced —
+``column``, crossing ``replay``, volatile ``scalar`` or ``delegated`` —
+plus lane re-derivations (``rederived``), mirrored under enabled telemetry
+by the ``how``-labelled ``sim_fleet_lane_spans_total`` series.
 
 What still cannot live in columns — subclassed machine/core/component
 hooks, desynchronised machine clocks, active idle listeners,
@@ -73,7 +90,9 @@ View synchronisation: while resident, a core's running totals live in
 columns and the underlying objects lag.  Mutators routed through the core
 (``set_frequency``, ``add_job``, ``steal_time``, ``offline``,
 ``power_scale``, ``config`` replacement, ``steal`` via migrate,
-idle-detector subscription) bump :meth:`FleetState.invalidate_core`, and
+idle-detector subscription) bump :meth:`FleetState.invalidate_core`
+(``Dispatcher.remove_job`` also bumps the dispatcher's quantum epoch, so a
+quantum reset is never overwritten by the column's copy), and
 :meth:`CounterBank.snapshot` — the only way agents observe counters —
 flushes through an installed hook.  Residency dicts, job progress, and
 energy ledgers are synchronised by :func:`flush_machines` (the driver does
@@ -104,7 +123,8 @@ from .powermeter import PowerMeter
 from .throttle import ThrottleActuator
 
 __all__ = ["FleetState", "advance_fleet", "flush_machines", "reset_fleet",
-           "fleet_stats", "fleet_fallback_reasons", "fallback_breakdown"]
+           "fleet_stats", "fleet_fallback_reasons", "fallback_breakdown",
+           "fleet_lane_spans", "fleet_lane_breakdown"]
 
 #: Process-wide tallies (tests and quick diagnostics; the telemetry
 #: counters sim_fleet_advances_total / sim_fleet_fallbacks_total carry the
@@ -119,6 +139,23 @@ fleet_fallback_reasons: dict[str, int] = {}
 def fallback_breakdown() -> dict[str, int]:
     """Copy of the per-reason fallback tallies (``reason`` -> count)."""
     return dict(fleet_fallback_reasons)
+
+
+#: Process-wide lane-span tallies (mirrored, under enabled telemetry, by
+#: the ``how``-labelled ``sim_fleet_lane_spans_total`` series).  Every
+#: lane of every machine counts once per span, in exactly one of:
+#: ``column`` (the vector pass or a closed form carried it), ``replay``
+#: (the crossing replay ran it slice by slice), ``scalar`` (a chunked lane
+#: ran ``core.advance``) or ``delegated`` (its machine took the
+#: per-machine path).  ``rederived`` counts lane re-derivations at span
+#: starts on top of that partition.
+fleet_lane_spans: dict[str, int] = {
+    "column": 0, "replay": 0, "scalar": 0, "delegated": 0, "rederived": 0}
+
+
+def fleet_lane_breakdown() -> dict[str, int]:
+    """Copy of the lane-span tallies (``how`` -> count)."""
+    return dict(fleet_lane_spans)
 
 
 #: Eligibility blockers mapped to the fallback-reason label they report
@@ -138,12 +175,20 @@ _REASON_LABEL = {
 
 _tel_cache = None
 
+_LANE_KEYS = ("column", "replay", "scalar", "delegated", "rederived")
 
-def _bump(advances: int, fallbacks: dict[str, int] | None = None) -> None:
+
+def _bump(advances: int, fallbacks: dict[str, int] | None,
+          lanes: tuple[int, int, int, int, int]) -> None:
     """Tally machine-spans advanced/delegated; ``fallbacks`` maps reason
-    label -> count.  Registry counters update at span boundaries (this is
-    called once per ``advance_fleet`` span), never from the hot loops."""
+    label -> count, ``lanes`` is this span's (column, replay, scalar,
+    delegated, rederived) lane counts.  Registry counters update at span
+    boundaries (this is called once per ``advance_fleet`` span), never
+    from the hot loops; the per-lane series only under enabled
+    telemetry."""
     global _tel_cache
+    for how, k in zip(_LANE_KEYS, lanes):
+        fleet_lane_spans[how] += k
     nfb = 0
     if fallbacks:
         for reason, k in fallbacks.items():
@@ -163,8 +208,20 @@ def _bump(advances: int, fallbacks: dict[str, int] | None = None) -> None:
                            "Machine-spans advanced through fleet columns"),
                  m.counter("sim_fleet_fallbacks_total",
                            "Machine-spans delegated to the per-machine path"),
-                 {})
+                 {}, {})
         _tel_cache = cache
+    if tel.enabled:
+        by_how = cache[4]
+        for how, k in zip(_LANE_KEYS, lanes):
+            if k:
+                c = by_how.get(how)
+                if c is None:
+                    c = tel.metrics.counter(
+                        "sim_fleet_lane_spans_total",
+                        "Lane-spans by how the fleet advanced them",
+                        labels={"how": how})
+                    by_how[how] = c
+                c.inc(k)
     if advances:
         cache[1].inc(advances)
     if nfb:
@@ -185,22 +242,31 @@ class _Evict(Exception):
     """A lane can no longer be represented in columns; rebuild the fleet."""
 
 
+def _queue_plain(queue) -> bool:
+    for job in queue:
+        if not _phases_plain(job):
+            return False
+    return True
+
+
 def _classify_lane(core: SimulatedCore, t0: float,
                    banked: bool) -> tuple[int, bool] | None:
     """Fleet-side extension of :func:`kernel._classify`.
 
     Returns ``(mode, volatile)`` or None (the machine must delegate).
     Beyond the kernel's modes, this admits what only the fleet layer can
-    keep resident:
+    keep resident on unbanked machines:
 
-    * a single plain-phase :class:`Job` of *any* loop mode is ``_BUSY`` —
-      a ONCE job's completion is handled as a columnar crossing by
-      :meth:`FleetState._advance_busy_lane`;
-    * pending frequency settling, and queues that mix a ONCE job with
-      other work, are ``_CHUNKED`` *volatile* lanes: ``core.advance``
-      handles the interior boundary each span, and the lane re-derives
-      (power included) at every span start — exactly when the scalar
-      ``machine._advance_to`` would re-read ``core_power_w``.
+    * a run queue of plain-phase :class:`Job` objects of any loop modes
+      and any length is ``_BUSY`` — a ONCE job's completion, the round-robin
+      quantum's expiry and the hand-off to the next queued job are
+      columnar crossings replayed by :meth:`FleetState._advance_busy_lane`;
+    * pending frequency settling, and overhead debt or a custom counter
+      bank under a queue holding ONCE work, are ``_CHUNKED`` *volatile*
+      lanes:
+      ``core.advance`` handles the interior boundary each span, and the
+      lane re-derives (power included) at every span start — exactly when
+      the scalar ``machine._advance_to`` would re-read ``core_power_w``.
 
     Banked machines keep the kernel's stricter gate: their chunk walk
     prices the whole span's demand up front, which a mid-span completion
@@ -208,6 +274,11 @@ def _classify_lane(core: SimulatedCore, t0: float,
     """
     mode = _classify(core)
     if mode is not None:
+        if (mode == _CHUNKED and not banked
+                and core._overhead_debt_s <= _MIN_SLICE_S
+                and type(core.counters) is CounterBank
+                and _queue_plain(core.dispatcher._queue)):
+            return _BUSY, False     # a multi-job LOOP queue
         return mode, False
     if banked:
         return None
@@ -235,7 +306,7 @@ def _classify_lane(core: SimulatedCore, t0: float,
         return _CHUNKED, True
     if not queue:
         return _IDLE, False
-    if len(queue) == 1 and _phases_plain(queue[0]):
+    if _queue_plain(queue):
         return _BUSY, False
     return _CHUNKED, True
 
@@ -259,6 +330,10 @@ class FleetState:
         self._recheck: list[SMPMachine] = []
         #: Why the last ``advance`` returned False ("corner" or "bank").
         self._span_blocker = "corner"
+        #: Lanes re-derived by the last ``prepare``, and the last span's
+        #: (column, replay, scalar) lane counts — the lane tallies.
+        self._rederived = 0
+        self._span_lanes = (0, 0, 0)
 
         # Steal machines already resident in another fleet (overlapping
         # machine lists): the old fleet flushes and dies, objects become
@@ -293,6 +368,8 @@ class FleetState:
                 if blocker == "transient":
                     self._recheck.append(m)
         self.now = now if now is not None else machines[0]._now_s
+        self._delegate_lanes = sum(len(getattr(m, "cores", ()))
+                                   for m in self.delegates)
 
         n = sum(len(m.cores) for m in self.resident)
         self.n = n
@@ -305,17 +382,26 @@ class FleetState:
 
         self.freq = np.zeros(n)
         self.thr = np.zeros(n)
-        self.r2 = np.zeros(n)
-        self.r3 = np.zeros(n)
-        self.rm = np.zeros(n)
-        self.rl1 = np.zeros(n)
+        # Per-instruction L2/L3/memory/L1-stall rates, stacked so one op
+        # feeds counter rows 2-5; r2/r3/rm/rl1 are row views.
+        self.rates = np.zeros((4, n))
+        self.r2, self.r3, self.rm, self.rl1 = self.rates
         self.pinstr = np.zeros(n)
+        #: Current phase's core CPI and memory time per instruction (busy
+        #: lanes), for the per-span jitter fold.
+        self.ccpi = np.zeros(n)
+        self.mem = np.zeros(n)
         self.ptol = np.zeros(n)
         self.prog = np.zeros(n)
         self.retired = np.zeros(n)
-        self.cur_res = np.zeros(n)
-        self.ft = np.zeros(n)
+        # Current residency and frequency-time totals (row views of one
+        # array, advanced by one op per span).
+        self.res_ft = np.zeros((2, n))
+        self.cur_res, self.ft = self.res_ft
         self.busy = np.zeros(n, dtype=bool)
+        #: Dispatcher quantum left, for multi-job lanes only (+inf
+        #: elsewhere, so the crossing predicate never fires there).
+        self.ql = np.full(n, np.inf)
         # Counter totals: instructions, cycles, n_l2, n_l3, n_mem,
         # l1_stall_cycles, halted_cycles (CounterBank field order).
         self.cnt = np.zeros((7, n))
@@ -331,15 +417,24 @@ class FleetState:
         self._bank_hooks: list = [None] * n
         self._chunked: set[int] = set()
         #: Chunked lanes whose classification/power can change without an
-        #: invalidation hook firing (pending settling, a draining ONCE
-        #: queue): re-derived at every span start, like the scalar path
-        #: re-reads power each span.
+        #: invalidation hook firing (pending settling; overhead debt or a
+        #: custom bank under a queue holding ONCE work): re-derived at
+        #: every span start, like the scalar path re-reads power each span.
         self._volatile: set[int] = set()
         self._offline: set[int] = set()
         self._halt: set[int] = set()
         #: Unbanked busy lanes with latency_jitter_sigma > 0: one RNG draw
         #: per span through the core's stream-aligned buffer.
         self._jitter: set[int] = set()
+        #: Busy lanes whose run queue holds more than one job: the
+        #: dispatcher quantum lives in ``ql`` and its expiry is a crossing.
+        #: ``_qepoch`` is the dispatcher's ``_quantum_epoch`` at load.
+        self._multi: set[int] = set()
+        self._qepoch = [0] * n
+        #: Phase constants per (phase tuple, latency profile): every
+        #: request of one ``RequestSpec`` shares them, so a lane loading
+        #: its next queued job looks them up instead of rebuilding them.
+        self._pdata_cache: dict = {}
         self._lane_banked = np.zeros(n, dtype=bool)
         #: Per banked resident machine: (machine, lane_lo, lane_hi,
         #: account_lo, account_hi) — lanes and ledger accounts are
@@ -477,6 +572,9 @@ class FleetState:
         self._chunked.discard(i)
         self._offline.discard(i)
         self._jitter.discard(i)
+        if i in self._multi:
+            self._multi.discard(i)
+            self.ql[i] = np.inf
         if i in self._halt:
             self._halt.discard(i)
             self.hfreq[i] = 0.0
@@ -531,22 +629,12 @@ class FleetState:
                     self.hfreq[i] = freq
                     self.cur_name[i] = "__halted__"
             else:  # _BUSY
-                job = core.dispatcher._queue[0]
-                core.idle_detector.note_queue_length(1)
+                disp = core.dispatcher
+                queue = disp._queue
+                job = queue[0]
+                core.idle_detector.note_queue_length(len(queue))
                 job.mark_started(t0)
-                lat = core.latencies
-                pdata = []
-                for p in job.phases:
-                    core_cpi = (1.0 / p.alpha
-                                + p.l1_stall_cycles_per_instr
-                                + p.unmodeled_stall_cycles_per_instr)
-                    mem_time = (p.n_l2_per_instr * lat.t_l2_s
-                                + p.n_l3_per_instr * lat.t_l3_s
-                                + p.n_mem_per_instr * lat.t_mem_s)
-                    pdata.append((p.name, p.instructions, core_cpi, mem_time,
-                                  p.n_l2_per_instr, p.n_l3_per_instr,
-                                  p.n_mem_per_instr,
-                                  p.l1_stall_cycles_per_instr))
+                pdata = self._phase_data(job, core.latencies)
                 pidx = job.phase_index
                 name, pinstr, ccpi, mem, r2, r3, rm, rl1 = pdata[pidx]
                 thr = freq / (ccpi + mem * freq)
@@ -562,6 +650,8 @@ class FleetState:
                 self.r3[i] = r3
                 self.rm[i] = rm
                 self.rl1[i] = rl1
+                self.ccpi[i] = ccpi
+                self.mem[i] = mem
                 self.pinstr[i] = pinstr
                 self.ptol[i] = pinstr * (1.0 - 1e-12)
                 self.prog[i] = job.phase_progress
@@ -572,6 +662,10 @@ class FleetState:
                 if (core.config.latency_jitter_sigma > 0.0
                         and not self._lane_banked[i]):
                     self._jitter.add(i)
+                if len(queue) > 1:
+                    self._multi.add(i)
+                    self.ql[i] = disp._quantum_left_s
+                    self._qepoch[i] = disp._quantum_epoch
             self.ft_key[i] = freq
             self.cur_res[i] = core.phase_time_s.get(self.cur_name[i], 0.0)
             self.ft[i] = core.freq_time_s.get(freq, 0.0)
@@ -586,6 +680,29 @@ class FleetState:
             self.e_pow[k] = pw
         core._fleet = self
         core.idle_detector._fleet_invalidate = core._fleet_invalidate
+
+    def _phase_data(self, job: Job, lat) -> tuple:
+        """Per-phase (name, instructions, core CPI, memory time per
+        instruction, L2/L3/memory/L1-stall rates) — the kernel's hoisted
+        slice-loop constants, same IEEE ops."""
+        key = (job.phases, lat)
+        pdata = self._pdata_cache.get(key)
+        if pdata is None:
+            rows = []
+            for p in job.phases:
+                core_cpi = (1.0 / p.alpha
+                            + p.l1_stall_cycles_per_instr
+                            + p.unmodeled_stall_cycles_per_instr)
+                mem_time = (p.n_l2_per_instr * lat.t_l2_s
+                            + p.n_l3_per_instr * lat.t_l3_s
+                            + p.n_mem_per_instr * lat.t_mem_s)
+                rows.append((p.name, p.instructions, core_cpi, mem_time,
+                             p.n_l2_per_instr, p.n_l3_per_instr,
+                             p.n_mem_per_instr, p.l1_stall_cycles_per_instr))
+            if len(self._pdata_cache) >= 4096:
+                self._pdata_cache.clear()
+            pdata = self._pdata_cache[key] = tuple(rows)
+        return pdata
 
     def _load_counters(self, i: int) -> None:
         b = self.cores[i].counters
@@ -624,21 +741,23 @@ class FleetState:
         key = self.ft_key[i]
         ftd = core.freq_time_s
         ftv = float(self.ft[i])
-        if self.kind[i] == _BUSY:
-            # The scalar loop's commit always writes the current phase and
-            # frequency keys, even at 0.0 right after a crossing.
+        # Residency keys exist once a real slice ran under them, exactly
+        # like the scalar path (a lane that crossed into a phase, or
+        # rotated to a job, right at a span end has not run it yet).
+        if name in pt or cur != 0.0:
             pt[name] = cur
+        if key in ftd or ftv != 0.0:
             ftd[key] = ftv
+        if self.kind[i] == _BUSY:
             job = self.jobs[i]
             job.phase_progress = float(self.prog[i])
             job.instructions_retired = float(self.retired[i])
-        else:
-            # Idle/offline lanes only create their residency keys once a
-            # real span ran, exactly like the scalar path.
-            if name in pt or cur != 0.0:
-                pt[name] = cur
-            if key in ftd or ftv != 0.0:
-                ftd[key] = ftv
+            if i in self._multi:
+                disp = core.dispatcher
+                # remove_job of the current job reset the quantum on the
+                # object since the lane loaded it; the reset stands.
+                if disp._quantum_epoch == self._qepoch[i]:
+                    disp._quantum_left_s = float(self.ql[i])
 
     def flush(self) -> None:
         """Write every lane back to its objects (idempotent; the columns
@@ -670,6 +789,7 @@ class FleetState:
 
     def prepare(self) -> bool:
         """Re-derive dirty lanes; False means rebuild the whole fleet."""
+        self._rederived = 0
         if self._volatile:
             cores = self.cores
             self._dirty.update(cores[i] for i in self._volatile)
@@ -677,15 +797,19 @@ class FleetState:
             t0 = self.now
             dirty = self._dirty
             self._dirty = set()
-            for core in dirty:
-                i = self._lane_of.get(core)
-                if i is None:
-                    continue
+            lane_of = self._lane_of
+            lanes = [lane_of[c] for c in dirty if c in lane_of]
+            # Flush every dirty lane before re-deriving any: a job migrated
+            # between two dirty lanes must carry its progress out of the
+            # source columns before the destination loads it.
+            for i in lanes:
                 self._flush_lane(i)
+            for i in lanes:
                 try:
                     self._setup_lane(i, t0)
                 except _Evict:
                     return False
+            self._rederived = len(lanes)
         if self._recheck:
             for m in self._recheck:
                 if self._residency_blocker(m, self.now) is None:
@@ -703,6 +827,7 @@ class FleetState:
         eff = e2 - t0
         n = self.n
         plans = None
+        nrep = 0
         if n:
             se = t0 + eff
             limit = se - t0
@@ -722,16 +847,18 @@ class FleetState:
                     self._draw_jitter()
                 ub = self._ub_idx
                 if ub is None:
-                    self._advance_span_all(t0, eff)
+                    nrep = self._advance_span_all(t0, eff)
                 elif ub.size:
-                    self._advance_span_sub(t0, eff, ub)
+                    nrep = self._advance_span_sub(t0, eff, ub)
             elif self._offline:
                 idx = [i for i in self._offline if not banked[i]]
                 if idx:
                     self.cur_res[idx] += eff
                     self.ft[idx] += eff
         if plans:
-            self._advance_banked(plans)
+            nrep += self._advance_banked(plans)
+        nscal = len(self._chunked)
+        self._span_lanes = (n - nrep - nscal, nrep, nscal)
         if self.e_accs:
             eidx = self._ub_eidx
             if eidx is None:
@@ -746,8 +873,9 @@ class FleetState:
             m._now_s = e2
         return True
 
-    def _advance_span_all(self, t0: float, eff: float) -> None:
-        """The whole-fleet vector pass (no banked lanes)."""
+    def _advance_span_all(self, t0: float, eff: float) -> int:
+        """The whole-fleet vector pass (no banked lanes); returns how many
+        lanes crossed and were replayed."""
         thr = self.thr
         prog = self.prog
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -757,36 +885,44 @@ class FleetState:
         bad = ttpe <= eff
         bad |= prog2 >= self.ptol
         bad |= (instr <= 0.0) & self.busy
-        nbad = np.count_nonzero(bad)
+        multi = self._multi
+        if multi:
+            # Dispatcher.account_run's own `quantum_left -= ran` and its
+            # rotate test: a lane whose quantum would expire inside or
+            # at the end of the span is a crossing.
+            ql = self.ql
+            ql2 = ql - eff
+            bad |= ql2 <= 1e-12
+        nbad = int(np.count_nonzero(bad))
         if nbad:
             keep = ~bad
             instr = np.where(keep, instr, 0.0)
             add = np.where(keep, eff, 0.0)
             self.prog = np.where(keep, prog2, prog)
+            if multi:
+                self.ql = np.where(keep, ql2, ql)
         else:
             add = eff
             self.prog = prog2
+            if multi:
+                self.ql = ql2
         cnt = self.cnt
         cnt[0] += instr
         cnt[1] += self.freq * add
-        cnt[2] += self.r2 * instr
-        cnt[3] += self.r3 * instr
-        cnt[4] += self.rm * instr
-        cnt[5] += self.rl1 * instr
+        cnt[2:6] += self.rates * instr
         if self._halt:
             cnt[6] += self.hfreq * add
-        self.cur_res += add
-        self.ft += add
+        self.res_ft += add
         self.retired += instr
         if nbad:
             jitter = self._jitter
-            for i in np.nonzero(bad)[0]:
-                i = int(i)
+            for i in np.nonzero(bad)[0].tolist():
                 first = float(self.thr[i]) if i in jitter else None
                 self._advance_busy_lane(i, ((t0, eff),), first_thr=first)
+        return nbad
 
     def _advance_span_sub(self, t0: float, eff: float,
-                          ub: np.ndarray) -> None:
+                          ub: np.ndarray) -> int:
         """The vector pass gathered over unbanked lanes only — the same
         elementwise IEEE ops as :meth:`_advance_span_all` on the gathered
         values, so per-lane results are bit-identical."""
@@ -799,33 +935,38 @@ class FleetState:
         bad = ttpe <= eff
         bad |= prog2 >= self.ptol[ub]
         bad |= (instr <= 0.0) & self.busy[ub]
-        nbad = np.count_nonzero(bad)
+        multi = self._multi
+        if multi:
+            ql = self.ql[ub]
+            ql2 = ql - eff
+            bad |= ql2 <= 1e-12
+        nbad = int(np.count_nonzero(bad))
         if nbad:
             keep = ~bad
             instr = np.where(keep, instr, 0.0)
             add = np.where(keep, eff, 0.0)
             self.prog[ub] = np.where(keep, prog2, prog)
+            if multi:
+                self.ql[ub] = np.where(keep, ql2, ql)
         else:
             add = eff
             self.prog[ub] = prog2
+            if multi:
+                self.ql[ub] = ql2
         cnt = self.cnt
         cnt[0, ub] += instr
         cnt[1, ub] += self.freq[ub] * add
-        cnt[2, ub] += self.r2[ub] * instr
-        cnt[3, ub] += self.r3[ub] * instr
-        cnt[4, ub] += self.rm[ub] * instr
-        cnt[5, ub] += self.rl1[ub] * instr
+        cnt[2:6, ub] += self.rates[:, ub] * instr
         if self._halt:
             cnt[6, ub] += self.hfreq[ub] * add
-        self.cur_res[ub] += add
-        self.ft[ub] += add
+        self.res_ft[:, ub] += add
         self.retired[ub] += instr
         if nbad:
             jitter = self._jitter
-            for p in np.nonzero(bad)[0]:
-                i = int(ub[p])
+            for i in ub[bad].tolist():
                 first = float(self.thr[i]) if i in jitter else None
                 self._advance_busy_lane(i, ((t0, eff),), first_thr=first)
+        return nbad
 
     def _draw_jitter(self) -> None:
         """Draw this span's jitter value for every unbanked jittered busy
@@ -835,33 +976,34 @@ class FleetState:
         start iff the buffer is absent or sigma changed, refill 256 on
         exhaustion, one draw per slice — and the vector pass is one slice.
         Per-core RNG streams are independent, so lane order is irrelevant.
+        The throughput is the scalar's ``freq / (ccpi + mem * jit * freq)``
+        elementwise, so the vector op equals the per-lane one bit for bit.
         """
-        pdata = self.pdata
-        pidx = self.pidx
-        freq_col = self.freq
-        thr_col = self.thr
-        for i in self._jitter:
-            core = self.cores[i]
-            sigma = core.config.latency_jitter_sigma
-            _, _, ccpi, mem = pdata[i][pidx[i]][:4]
-            freq = freq_col[i]
+        lanes = list(self._jitter)
+        cores = self.cores
+        jits = []
+        for i in lanes:
+            core = cores[i]
+            sigma = core._config.latency_jitter_sigma
             if sigma > 0.0:
                 buf = core._jitter_buf
                 if buf is None or buf[0] != sigma:
                     core._refill_jitter(64)
                     buf = core._jitter_buf
-                jits = buf[2]
+                vals = buf[2]
                 pos = core._jitter_pos
-                if pos >= len(jits):
+                if pos >= len(vals):
                     core._refill_jitter(256)
-                    jits = core._jitter_buf[2]
+                    vals = core._jitter_buf[2]
                     pos = core._jitter_pos
-                jit = jits[pos]
+                jits.append(vals[pos])
                 core._jitter_pos = pos + 1
-                cpi = ccpi + mem * jit * freq
             else:
-                cpi = ccpi + mem * freq
-            thr_col[i] = freq / cpi
+                jits.append(1.0)    # _jitter_scale's unjittered scale
+        idx = np.array(lanes)
+        freq = self.freq[idx]
+        self.thr[idx] = freq / (self.ccpi[idx]
+                                + self.mem[idx] * np.array(jits) * freq)
 
     # -- banked machines: the chunked columnar walk ----------------------------------
 
@@ -899,18 +1041,21 @@ class FleetState:
                           demand, actions))
         return plans
 
-    def _advance_banked(self, plans) -> None:
+    def _advance_banked(self, plans) -> int:
         """Advance each banked machine through its observation chunks —
         the kernel's ``advance_machine_span`` against columns: cores in
-        order, then the ledger's 2-D cumsum, then the planned observes."""
+        order, then the ledger's 2-D cumsum, then the planned observes.
+        Returns how many busy lanes ran the slice-loop replay."""
         kind = self.kind
         cores = self.cores
+        nbusy = 0
         for m, lo, hi, e_lo, e_hi, bounds, barr, starts, dts, demand, \
                 actions in plans:
             t0 = float(starts[0])
             for i in range(lo, hi):
                 k = kind[i]
                 if k == _BUSY:
+                    nbusy += 1
                     self._advance_busy_lane(
                         i, list(zip(starts.tolist(), dts.tolist())))
                 elif k == _IDLE:
@@ -938,6 +1083,7 @@ class FleetState:
                 # The real observe: overload episodes, cascades, PSU
                 # events — identical to the per-machine kernel's replay.
                 m.supply_bank.observe(bounds[j], demand)
+        return nbusy
 
     def _advance_idle_lane(self, i: int, dts: np.ndarray) -> None:
         """The kernel's ``_advance_idle_span`` against this lane's columns
@@ -964,16 +1110,27 @@ class FleetState:
 
     def _advance_busy_lane(self, i: int, chunks, *,
                            first_thr: float | None = None) -> None:
-        """Literal port of the kernel's inlined slice loop against this
-        lane's columns, jitter draws and phase-transition events included.
+        """Literal port of the scalar slice loop against this lane's
+        columns: jitter draws, phase-transition events, ONCE completion
+        and, on a multi-job run queue, the dispatcher's round-robin
+        quantum and the hand-off to the next queued job.
 
         ``first_thr`` carries the throughput the span pre-pass already
         drew for this lane (one draw per span); the first slice consumes
         it and every later slice draws fresh, so the RNG stream matches
         the scalar loop exactly.
+
+        Only the current job's cursor lives in columns; every other
+        queued job's object is authoritative.  A hand-off writes the
+        outgoing job's cursor back and loads the incoming one's, where
+        ``Dispatcher.account_run`` would pop or rotate the queue.
         """
         core = self.cores[i]
+        disp = core.dispatcher
+        queue = disp._queue
         job = self.jobs[i]
+        multi = i in self._multi
+        ql = float(self.ql[i]) if multi else disp._quantum_left_s
         once = job.loop is not LoopMode.LOOP
         pdata = self.pdata[i]
         nph = len(pdata)
@@ -1011,11 +1168,17 @@ class FleetState:
         emit = tel.enabled
         jname = job.name
         throughput = first_thr
+        #: The current job took over at a crossing and has not yet run
+        #: the slice whose start the scalar stamps with mark_started.
+        fresh = False
         try:
             for start, dt in chunks:
                 t = start
                 end = start + dt
                 while end - t > min_slice:
+                    if fresh:
+                        job.mark_started(t)
+                        fresh = False
                     rem = pinstr - prog
                     if throughput is None:
                         if sigma > 0.0:
@@ -1035,8 +1198,12 @@ class FleetState:
                         raise SimulationError(
                             f"non-positive throughput on core {core.core_id}")
                     ttpe = rem / throughput
-                    limit = end - t
-                    chunk = limit if limit < ttpe else ttpe
+                    # min(limit, slice_limit, time_to_phase_end)
+                    chunk = end - t
+                    if multi and ql < chunk:
+                        chunk = ql
+                    if ttpe < chunk:
+                        chunk = ttpe
                     if chunk < min_slice:
                         chunk = min_slice
                     if chunk >= ttpe:
@@ -1058,82 +1225,95 @@ class FleetState:
                     ft += chunk
                     prog += instr
                     retired += instr
+                    t = t + chunk
+                    throughput = None
+                    handoff = False
                     if prog >= pinstr * (1.0 - 1e-12):
                         prog = 0.0
+                        res[name] = cur_res
                         if once and pidx + 1 >= nph:
-                            # Completion crossing: Job._advance_phase and
+                            # Completion crossing: Job._advance_phase, then
                             # Dispatcher.account_run's done path, in the
-                            # scalar slice's exact order.  Only unbanked
-                            # single-job lanes classify busy with a ONCE
-                            # job, so `chunks` is the whole span.
-                            res[name] = cur_res
-                            t = t + chunk
+                            # scalar slice's exact order.
                             job.state = JobState.COMPLETED
                             job.completed_at_s = t
                             if emit:
                                 tel.emit(EVENT_PHASE_TRANSITION,
                                          sim_time_s=t, job=jname,
                                          from_phase=name, to_phase=None)
-                            disp = core.dispatcher
-                            disp._queue.popleft()
+                            queue.popleft()
                             disp.finished.append(job)
-                            disp._quantum_left_s = disp.quantum_s
-                            core.idle_detector.note_queue_length(0)
-                            # Drained: the rest of the span is the
-                            # scalar's idle loop — no jitter draws, the
-                            # same frequency key, one residue-safe slice
-                            # per `_advance_idle` call.
-                            hot = (core.config.idle_style
-                                   is IdleStyle.HOT_LOOP)
-                            name = "__idle__" if hot else "__halted__"
+                            ql = disp.quantum_s
+                            if not queue:
+                                name, cur_res, ft, ci, cc = \
+                                    self._run_out_idle(i, t, end, freq,
+                                                       ft, ci, cc)
+                                # Power may have flipped (is_idle):
+                                # re-derive the lane at the next span
+                                # start, exactly when the scalar re-reads
+                                # core_power_w.
+                                self._dirty.add(core)
+                                return
+                            multi = len(queue) > 1
+                            handoff = True
+                        else:
+                            if pidx + 1 < nph:
+                                pidx += 1
+                            else:
+                                pidx = 0
+                                iters += 1
+                            prev_name = name
+                            name, pinstr, ccpi, mem, r2, r3, rm, rl1 = \
+                                pdata[pidx]
                             nxt = res.get(name)
                             if nxt is None:
                                 nxt = pt.get(name, 0.0)
                             cur_res = nxt
-                            if hot:
-                                ithr = HOT_IDLE_PHASE.throughput(
-                                    core.latencies, freq)
-                                while end - t > min_slice:
-                                    chunk = end - t
-                                    ci += ithr * chunk
-                                    cc += freq * chunk
-                                    cur_res += chunk
-                                    ft += chunk
-                                    t = t + chunk
-                            else:
-                                halted = float(cnt[6, i])
-                                while end - t > min_slice:
-                                    chunk = end - t
-                                    halted += freq * chunk
-                                    cur_res += chunk
-                                    ft += chunk
-                                    t = t + chunk
-                                cnt[6, i] = halted
-                            # Power may have flipped (is_idle): re-derive
-                            # the lane at the next span start, exactly
-                            # when the scalar re-reads core_power_w.
-                            self._dirty.add(core)
-                            return
-                        if pidx + 1 < nph:
-                            pidx += 1
-                        else:
-                            pidx = 0
-                            iters += 1
-                        res[name] = cur_res
-                        prev_name = name
-                        name, pinstr, ccpi, mem, r2, r3, rm, rl1 = pdata[pidx]
+                            if emit:
+                                # Same payload/order as Job.retire's
+                                # _advance_phase (a looping job is never
+                                # done).
+                                tel.emit(EVENT_PHASE_TRANSITION,
+                                         sim_time_s=t, job=jname,
+                                         from_phase=prev_name, to_phase=name)
+                    if multi and not handoff:
+                        # Dispatcher.account_run: charge the slice to the
+                        # quantum and rotate the queue when it expires.
+                        ql -= chunk
+                        if ql <= 1e-12:
+                            queue.rotate(-1)
+                            ql = disp.quantum_s
+                            handoff = True
+                    if handoff:
+                        job.phase_index = pidx
+                        job.phase_progress = prog
+                        job.instructions_retired = retired
+                        job.iterations = iters
+                        # A phase the outgoing job crossed into at this
+                        # very boundary has not run: no residency key.
+                        if cur_res != 0.0:
+                            res[name] = cur_res
+                        job = queue[0]
+                        jname = job.name
+                        once = job.loop is not LoopMode.LOOP
+                        pdata = self._phase_data(job, core.latencies)
+                        nph = len(pdata)
+                        pidx = job.phase_index
+                        prog = job.phase_progress
+                        retired = job.instructions_retired
+                        iters = job.iterations
+                        name, pinstr, ccpi, mem, r2, r3, rm, rl1 = \
+                            pdata[pidx]
                         nxt = res.get(name)
                         if nxt is None:
                             nxt = pt.get(name, 0.0)
                         cur_res = nxt
-                        if emit:
-                            # Same payload/order as Job.retire's
-                            # _advance_phase (a looping job is never done).
-                            tel.emit(EVENT_PHASE_TRANSITION,
-                                     sim_time_s=t + chunk, job=jname,
-                                     from_phase=prev_name, to_phase=name)
-                    throughput = None
-                    t = t + chunk
+                        fresh = True
+            if fresh and job.state is JobState.READY:
+                # Handed off right at the span end: the scalar stamps the
+                # start at the next span's first slice, which is where
+                # the lane's re-derivation calls mark_started.
+                self._dirty.add(core)
         finally:
             if sigma > 0.0:
                 core._jitter_pos = pos
@@ -1152,12 +1332,59 @@ class FleetState:
             self.pinstr[i] = pinstr
             self.ptol[i] = pinstr * (1.0 - 1e-12)
             self.thr[i] = freq / (ccpi + mem * freq)
+            self.ccpi[i] = ccpi
+            self.mem[i] = mem
             self.r2[i] = r2
             self.r3[i] = r3
             self.rm[i] = rm
             self.rl1[i] = rl1
+            self.jobs[i] = job
+            self.pdata[i] = pdata
             job.phase_index = pidx
             job.iterations = iters
+            if multi:
+                self.ql[i] = ql
+            else:
+                if i in self._multi:
+                    self._multi.discard(i)
+                    self.ql[i] = np.inf
+                disp._quantum_left_s = ql
+
+    def _run_out_idle(self, i: int, t: float, end: float, freq: float,
+                      ft: float, ci: float, cc: float):
+        """The drained rest of a span: the scalar's idle loop — no jitter
+        draws, the same frequency key, one residue-safe slice per
+        ``_advance_idle`` call.  Returns the lane's new residency name and
+        running (residency, freq-time, instructions, cycles) totals."""
+        core = self.cores[i]
+        core.idle_detector.note_queue_length(0)
+        hot = core.config.idle_style is IdleStyle.HOT_LOOP
+        name = "__idle__" if hot else "__halted__"
+        res = self.pending[i]
+        cur_res = res.get(name)
+        if cur_res is None:
+            cur_res = core.phase_time_s.get(name, 0.0)
+        min_slice = _MIN_SLICE_S
+        if hot:
+            ithr = HOT_IDLE_PHASE.throughput(core.latencies, freq)
+            while end - t > min_slice:
+                chunk = end - t
+                ci += ithr * chunk
+                cc += freq * chunk
+                cur_res += chunk
+                ft += chunk
+                t = t + chunk
+        else:
+            cnt = self.cnt
+            halted = float(cnt[6, i])
+            while end - t > min_slice:
+                chunk = end - t
+                halted += freq * chunk
+                cur_res += chunk
+                ft += chunk
+                t = t + chunk
+            cnt[6, i] = halted
+        return name, cur_res, ft, ci, cc
 
 
 # -- module-level dispatch ---------------------------------------------------------
@@ -1207,11 +1434,14 @@ def advance_fleet(machines, dt: float, *, flush: bool = True) -> None:
         reason = "rebuild" if fleet is None else fleet._span_blocker
         if fleet is not None:
             fleet.detach()
-        _bump(0, {reason: len(machines)})
+        _bump(0, {reason: len(machines)},
+              (0, 0, 0, sum(len(getattr(m, "cores", ())) for m in machines),
+               0))
         for m in machines:
             m.advance(dt)
         return
-    _bump(len(fleet.resident), fleet.delegate_reasons or None)
+    _bump(len(fleet.resident), fleet.delegate_reasons or None,
+          fleet._span_lanes + (fleet._delegate_lanes, fleet._rederived))
     try:
         for m in fleet.delegates:
             m.advance(dt)

@@ -32,6 +32,10 @@ class Dispatcher:
         self.quantum_s = quantum_s
         self._queue: deque[Job] = deque()
         self._quantum_left_s = quantum_s
+        #: Bumped whenever :meth:`remove_job` resets the quantum, so the
+        #: fleet kernel (which keeps a resident run queue's quantum in a
+        #: column) knows not to write its stale copy back over the reset.
+        self._quantum_epoch = 0
         #: Jobs that ran to completion on this core.
         self.finished: list[Job] = []
 
@@ -62,6 +66,7 @@ class Dispatcher:
             ) from None
         if was_current:
             self._quantum_left_s = self.quantum_s
+            self._quantum_epoch += 1
 
     @property
     def runnable(self) -> int:

@@ -1,8 +1,13 @@
 """Voltage curves and the Lava-fit calibrator."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core.voltage import TABLE1_FIT_V_MIN, default_vf_curve
 from repro.errors import PowerModelError
 from repro.power.lava import fit_lava_model
 from repro.power.table import POWER4_TABLE
@@ -98,3 +103,35 @@ class TestLavaFit:
     def test_bad_floor_fraction_rejected(self):
         with pytest.raises(PowerModelError):
             fit_lava_model(POWER4_TABLE, v_floor_fraction=1.5)
+
+
+class TestCommittedDefaultCurve:
+    """``default_vf_curve()`` is built from one committed fitted float,
+    so constructing a scheduler neither imports scipy nor re-runs the
+    fit.  A fresh fit must still agree with it."""
+
+    def test_fresh_fit_matches_committed_curve(self):
+        fitted = fit_lava_model(POWER4_TABLE).vf_curve
+        committed = default_vf_curve()
+        assert isinstance(committed, LinearVFCurve)
+        assert committed.f_min_hz == fitted.f_min_hz
+        assert committed.f_max_hz == fitted.f_max_hz
+        assert committed.v_max == fitted.v_max
+        assert committed.v_min == TABLE1_FIT_V_MIN
+        # Bit-equal on the toolchain the constant was taken from; another
+        # BLAS/scipy build may move the optimiser's last bits.
+        assert fitted.v_min == pytest.approx(TABLE1_FIT_V_MIN, rel=1e-12)
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src)
+        code = ("import sys, repro\n"
+                "from repro.core.scheduler import FrequencyVoltageScheduler\n"
+                "from repro.power.table import POWER4_TABLE\n"
+                "FrequencyVoltageScheduler(POWER4_TABLE)\n"
+                "print(sorted(m for m in sys.modules if m == 'scipy'"
+                " or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ and asserts *exact* float equality of every piece of machine state.  No
 tolerances anywhere: one reordered IEEE operation fails the suite.
 
 Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
-offline / chunked multi-job cores, with and without latency jitter),
+offline / run-queue cores, with and without latency jitter),
 banked machines chunk-walked through the columns with cascades firing
 mid-span, raising cascades and shared banks forcing counted fallbacks,
 jitter-lane draw-order equivalence including mid-span buffer refills and
@@ -22,7 +22,15 @@ Serving residency: open-loop request fleets (every request a ONCE job)
 replay three ways too — arrivals and completions mid-span, queue drain to
 hot idle, ``detach()``/re-attach, censored in-flight accounting, and
 per-request ``elapsed_s`` stamps — and a stock serving fleet must take
-*zero* fallbacks (completion is a columnar crossing, not a delegation).
+*zero* fallbacks (completion is a columnar crossing, not a delegation)
+and run *zero* scalar lane-spans.
+
+Run queues: cores multiplexing 2-4 LOOP jobs, ONCE backlogs draining back
+to back inside one span, and mixed LOOP/ONCE queues replay three ways
+with quantum expiries mid-span and exactly on span ends, ``add_job`` onto
+busy lanes mid-quantum, migration of a queue's current job (the quantum
+reset) and of a queued one, jitter on and off, hot-loop and halt idling,
+and telemetry on (the phase-transition event order is pinned).
 """
 
 import numpy as np
@@ -69,10 +77,13 @@ def job_state(job):
 def core_state(core):
     # vars() on a resident bank carries the private flush hook; compare
     # only the counter fields themselves.
+    disp = core.dispatcher
     return (core.counters.snapshot().as_tuple(), dict(core.phase_time_s),
             dict(core.freq_time_s), core._overhead_debt_s,
             core.overhead_executed_s,
-            [job_state(j) for j in core.dispatcher._queue])
+            [job_state(j) for j in disp._queue],
+            disp._quantum_left_s, [job_state(j) for j in disp.finished],
+            core.idle_detector.is_idle)
 
 
 def machine_state(m):
@@ -104,30 +115,60 @@ def looping_job(name, ratios, *, duration_s=0.05):
     return Job(name=name, phases=phases, loop=LoopMode.LOOP)
 
 
-def run_three_ways(build, script):
+def phase_events(tel):
+    return [(e.kind, e.sim_time_s, dict(e.attrs))
+            for e in tel.events.events_of(EVENT_PHASE_TRANSITION)]
+
+
+def run_three_ways(build, script, *, telemetry=False):
     """Replay ``script(machines, advance)`` through the fleet columns, the
     per-machine kernel, and the literal scalar loop; exact state equality.
-    ``build()`` must be deterministic."""
-    cols = build()
-    script(cols, lambda dt: advance_machines(cols, dt))
-    flush_machines(cols)
+    ``build()`` must be deterministic.  With ``telemetry`` each replay
+    runs under its own enabled :class:`Telemetry` and the three
+    phase-transition event streams must match too (order included)."""
+    tels = [Telemetry() if telemetry else None for _ in range(3)]
 
-    set_fleet_enabled(False)
-    try:
+    def replay(tel, build_and_run):
+        if tel is None:
+            return build_and_run()
+        with use_telemetry(tel):
+            return build_and_run()
+
+    def fleet_run():
+        cols = build()
+        script(cols, lambda dt: advance_machines(cols, dt))
+        flush_machines(cols)
+        return cols
+
+    def kernel_run():
         kern = build()
         script(kern, lambda dt: advance_machines(kern, dt))
+        return kern
+
+    def scalar_run():
         scal = build()
 
         def scalar(dt):
             for m in scal:
                 m.advance(dt)
         script(scal, scalar)
+        return scal
+
+    cols = replay(tels[0], fleet_run)
+    set_fleet_enabled(False)
+    try:
+        kern = replay(tels[1], kernel_run)
+        scal = replay(tels[2], scalar_run)
     finally:
         set_fleet_enabled(True)
 
     a, b, c = fleet_state(cols), fleet_state(kern), fleet_state(scal)
     assert a == b
     assert b == c
+    if telemetry:
+        ev = [phase_events(t) for t in tels]
+        assert ev[0]
+        assert ev[0] == ev[1] == ev[2]
     return cols
 
 
@@ -144,7 +185,7 @@ def hetero_fleet(seed, n=5):
             seed=seed + i)
         m.assign(0, looping_job(f"solo{i}", (1.0, 0.4, 0.15)))
         if i % 3 == 0:
-            # Two LOOP jobs: a chunked lane (scalar core.advance per span).
+            # Two LOOP jobs: a run-queue lane (quantum expiry crossings).
             m.assign(1, looping_job(f"pair{i}a", (0.8,)))
             m.assign(1, looping_job(f"pair{i}b", (0.95, 0.3)))
         if i % 2 == 0:
@@ -390,6 +431,175 @@ def test_once_job_machine_stays_resident_through_completion():
     assert ms[0] in fl.resident
 
 
+# -- run queues: multi-job lanes stay resident -----------------------------------
+
+#: A binary-exact quantum: spans that are multiples of it land the
+#: round-robin expiry exactly on a span end.
+_Q = 0.0078125
+
+
+def once_job(name, ratio, duration_s):
+    return Job(name=name,
+               phases=(synthetic_phase(ratio, duration_s=duration_s,
+                                       name=f"{name}_p"),))
+
+
+def run_queue_fleet(seed, *, sigma, style, loops=(2, 3, 4), once=0,
+                    n_machines=2):
+    """Machines whose cores multiplex 2-4 LOOP jobs (multi-phase, short
+    phases so phase crossings and quantum expiries interleave), optionally
+    with ONCE jobs queued between them."""
+    cfg = CoreConfig(latency_jitter_sigma=sigma, idle_style=style,
+                     quantum_s=_Q)
+    ms = []
+    for k in range(n_machines):
+        m = SMPMachine(MachineConfig(num_cores=len(loops), core_config=cfg),
+                       seed=seed + k)
+        for c, depth in enumerate(loops):
+            for j in range(depth):
+                m.assign(c, looping_job(f"q{k}{c}{j}", (0.9 - 0.2 * j, 0.3),
+                                        duration_s=0.003 + 0.002 * j))
+                if j < once:
+                    m.assign(c, once_job(f"o{k}{c}{j}", 0.7 - 0.1 * j,
+                                         0.004 + 0.003 * j))
+        ms.append(m)
+    return ms
+
+
+def lane_delta(before):
+    after = fleet_mod.fleet_lane_breakdown()
+    return {k: after[k] - before.get(k, 0) for k in after}
+
+
+@pytest.mark.parametrize("sigma,style", [
+    (0.0, IdleStyle.HOT_LOOP), (0.02, IdleStyle.HALT),
+    (0.015, IdleStyle.HOT_LOOP)])
+def test_loop_run_queues_rotate_in_columns(sigma, style):
+    """2-4 LOOP jobs per core: quantum expiries land mid-span, several per
+    span, and exactly on span ends; every lane stays a column lane (no
+    scalar core.advance) and all three paths agree bit for bit."""
+    def script(ms, advance):
+        for _ in range(5):
+            advance(_Q)             # expiry exactly at each span end
+        advance(3 * _Q)             # three rotations inside one span
+        advance(0.5 * _Q)
+        advance(0.5 * _Q)           # half quanta: expiry at the 2nd end
+        for dt in (0.0031, 0.017, 0.0004, 0.0113, 0.029):
+            advance(dt)
+
+    before = fleet_mod.fleet_lane_breakdown()
+    run_three_ways(lambda: run_queue_fleet(5, sigma=sigma, style=style),
+                   script)
+    d = lane_delta(before)
+    assert d["scalar"] == 0
+    assert d["delegated"] == 0
+    assert d["replay"] > 0
+    assert d["column"] > 0
+
+
+def test_once_backlog_completes_back_to_back_in_one_span():
+    """Five short ONCE requests queued on one core finish back to back
+    inside a single span: each hand-off stamps the next request's start
+    at the previous one's completion, and the drained lane idles."""
+    def build():
+        ms = []
+        for k, style in enumerate((IdleStyle.HOT_LOOP, IdleStyle.HALT)):
+            m = SMPMachine(
+                MachineConfig(num_cores=2, core_config=CoreConfig(
+                    latency_jitter_sigma=0.02 * k, idle_style=style)),
+                seed=61 + k)
+            for j in range(5):
+                m.assign(0, once_job(f"r{k}{j}", 0.8, 0.0008 + 0.0001 * j))
+            m.assign(1, looping_job(f"bg{k}", (0.5,)))
+            ms.append(m)
+        return ms
+
+    def script(ms, advance):
+        advance(0.0005)     # the first request is mid-flight
+        advance(0.02)       # the rest of the backlog drains in this span
+        advance(0.01)
+
+    before = fleet_mod.fleet_lane_breakdown()
+    ms = run_three_ways(build, script, telemetry=True)
+    assert lane_delta(before)["scalar"] == 0
+    for m in ms:
+        finished = m.cores[0].dispatcher.finished
+        assert len(finished) == 5
+        assert m.cores[0].dispatcher.runnable == 0
+        for prev, nxt in zip(finished, finished[1:]):
+            assert nxt.started_at_s == prev.completed_at_s
+        assert all(0.0005 < j.completed_at_s < 0.0205 for j in finished[1:])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02])
+def test_mixed_loop_and_once_queue(sigma):
+    """LOOP and ONCE jobs interleaved in one queue: rotations, completions
+    mid-quantum (the quantum resets for the next job), phase crossings and
+    their events, all identical on the three paths."""
+    def script(ms, advance):
+        for dt in (_Q, 0.0021, 0.013, _Q, 0.031, 0.0007, 0.022):
+            advance(dt)
+
+    run_three_ways(
+        lambda: run_queue_fleet(19, sigma=sigma, style=IdleStyle.HALT,
+                                loops=(2, 3), once=2),
+        script, telemetry=True)
+
+
+def test_run_queue_mutators_mid_quantum():
+    """``add_job`` onto a busy lane mid-quantum (1 -> 2 jobs and 2 -> 3),
+    migration of a queue's *current* job (remove_job resets the source
+    quantum) and of a non-current one (it does not), and a frequency
+    change on a multi-job lane."""
+    def build():
+        return run_queue_fleet(23, sigma=0.02, style=IdleStyle.HOT_LOOP,
+                               loops=(1, 2, 3))
+
+    def script(ms, advance):
+        advance(0.3 * _Q)
+        ms[0].core(0).add_job(looping_job("late0", (0.6,)))
+        ms[1].core(1).add_job(once_job("late1", 0.9, 0.002))
+        advance(0.45 * _Q)
+        ms[0].core(0).add_job(looping_job("late2", (0.4, 0.8)))
+        advance(1.7 * _Q)
+        src = ms[0].core(2)
+        ms[0].migrate(src.dispatcher.current_job(), 2, 1)
+        advance(0.6 * _Q)
+        src = ms[1].core(2)
+        ms[1].migrate(src.dispatcher.jobs[-1], 2, 0)
+        advance(0.9 * _Q)
+        ms[1].core(1).set_frequency(POWER4_TABLE.freqs_hz[5], ms[1].now_s)
+        advance(2.3 * _Q)
+        advance(0.011)
+
+    before = fleet_mod.fleet_lane_breakdown()
+    run_three_ways(build, script, telemetry=True)
+    d = lane_delta(before)
+    assert d["scalar"] == 0
+    assert d["rederived"] > 0
+
+
+def test_remove_current_job_resets_resident_quantum():
+    """The fleet keeps a multi-job lane's quantum in a column; removing
+    the current job resets the dispatcher's quantum, and the column's
+    stale copy must not be written back over that reset."""
+    def build():
+        return run_queue_fleet(29, sigma=0.0, style=IdleStyle.HOT_LOOP,
+                               loops=(3,), n_machines=1)
+
+    def script(ms, advance):
+        advance(0.4 * _Q)
+        disp = ms[0].core(0).dispatcher
+        disp.remove_job(disp.current_job())
+        ms[0].core(0)._fleet_invalidate()
+        advance(0.2 * _Q)
+
+    cols = run_three_ways(build, script)
+    # Reset to a full quantum, then charged 0.2 of one (not 0.4 + 0.2).
+    assert cols[0].core(0).dispatcher._quantum_left_s == \
+        pytest.approx(0.8 * _Q)
+
+
 # -- serving traffic: ONCE-request lanes stay resident ------------------------------
 
 
@@ -523,6 +733,7 @@ def test_stock_serving_fleet_takes_no_fallbacks():
     traffic.attach(sim)
     before = dict(fleet_stats)
     reasons_before = fallback_breakdown()
+    lanes_before = fleet_mod.fleet_lane_breakdown()
     sim.run_for(0.5)
     assert traffic.issued > 0
     assert sum(s.completed for s in traffic.sources) > 0
@@ -530,6 +741,13 @@ def test_stock_serving_fleet_takes_no_fallbacks():
     assert fleet_stats["fallbacks"] == before["fallbacks"]
     assert fallback_breakdown().get("transient", 0) == \
         reasons_before.get("transient", 0)
+    # Queued requests rotate and hand off inside the columns: no lane-span
+    # ran the scalar core.advance, none was delegated.
+    lanes = lane_delta(lanes_before)
+    assert lanes["scalar"] == 0
+    assert lanes["delegated"] == 0
+    assert lanes["replay"] > 0
+    assert lanes["column"] > lanes["replay"]
 
 
 # -- fallback accounting -----------------------------------------------------------
@@ -578,10 +796,6 @@ def test_enabled_telemetry_stays_resident():
             ms.append(m)
         return ms
 
-    def events(tel):
-        return [(e.kind, e.sim_time_s, dict(e.attrs))
-                for e in tel.events.events_of(EVENT_PHASE_TRANSITION)]
-
     tel_cols = Telemetry()
     with use_telemetry(tel_cols):
         cols = build()
@@ -610,8 +824,40 @@ def test_enabled_telemetry_stays_resident():
         set_fleet_enabled(True)
 
     assert fleet_state(cols) == fleet_state(kern) == fleet_state(scal)
-    assert events(tel_cols)    # phases actually crossed
-    assert events(tel_cols) == events(tel_kern) == events(tel_scal)
+    assert phase_events(tel_cols)    # phases actually crossed
+    assert phase_events(tel_cols) == phase_events(tel_kern) == \
+        phase_events(tel_scal)
+
+
+def test_lane_breakdown_partitions_every_lane_span():
+    """Each span counts every lane once — column, replay, scalar or
+    delegated — and the ``how``-labelled registry series carry the same
+    numbers as :func:`fleet_lane_breakdown`."""
+    ms = hetero_fleet(41, n=3)
+    hooked = HookedMachine(
+        MachineConfig(num_cores=2,
+                      core_config=CoreConfig(latency_jitter_sigma=0.0)),
+        seed=4)
+    ms.append(hooked)
+    lanes = sum(m.num_cores for m in ms)
+    telemetry = Telemetry()
+    before = fleet_mod.fleet_lane_breakdown()
+    with use_telemetry(telemetry):
+        advance_fleet(ms, 0.02)
+        ms[0].core(0).steal_time(0.004)     # overhead debt: a scalar lane
+        advance_fleet(ms, 0.03)
+        advance_fleet(ms, 0.011)
+        d = lane_delta(before)
+        for how, k in d.items():
+            series = telemetry.metrics.counter("sim_fleet_lane_spans_total",
+                                               labels={"how": how})
+            assert series.value == k
+    assert d["column"] + d["replay"] + d["scalar"] + d["delegated"] == \
+        3 * lanes
+    assert d["delegated"] == 3 * hooked.num_cores
+    assert d["scalar"] >= 1
+    assert d["replay"] >= 1
+    assert d["rederived"] >= 1
 
 
 def test_fallback_reason_breakdown_and_labels():
