@@ -15,8 +15,8 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Simulation-layer benches only: the batched advance kernel's hot paths
-# (core slice loop, cluster-scale machine spans, counter sampling).
+# Simulation-layer benches only: the fleet advance's hot paths (fleet of
+# one, cluster-scale machine spans, serving, counter sampling).
 bench-sim:
 	pytest benchmarks/test_bench_hotpaths.py --benchmark-only \
 		-k "advance or counter"
@@ -45,7 +45,8 @@ bench-save:
 		--benchmark-json=$(BENCH_BASELINE)
 
 # Re-run the hot-path benches and fail on >3x mean regression vs the
-# committed baseline (same check CI's bench-smoke job runs).
+# committed baseline.  CI's bench-smoke job runs this target, so the
+# per-bench ratios below are the only copy.
 bench-compare:
 	pytest benchmarks/test_bench_hotpaths.py --benchmark-only \
 		--benchmark-json=$(BENCH_CURRENT)

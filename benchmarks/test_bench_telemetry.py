@@ -19,8 +19,7 @@ import time
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
-from repro.sim.fleet import fleet_stats
-from repro.sim.kernel import advance_machines
+from repro.sim.fleet import advance_fleet, fleet_stats
 from repro.sim.machine import MachineConfig, SMPMachine
 from repro.telemetry import NullTelemetry, Telemetry, use_telemetry
 from repro.workloads.job import Job, LoopMode
@@ -115,7 +114,7 @@ def _run_fleet_advance(telemetry) -> None:
         m.assign(0, Job(name=f"j{i}", phases=phases, loop=LoopMode.LOOP))
     with use_telemetry(telemetry):
         for _ in range(300):
-            advance_machines(machines, 0.05)
+            advance_fleet(machines, 0.05)
 
 
 class TestBenchFleetTelemetryOverhead:
@@ -124,11 +123,11 @@ class TestBenchFleetTelemetryOverhead:
     hot loop must be a per-span counter batch plus events at phase
     crossings — bounded by the same 5% contract as the daemon path."""
 
-    def test_bench_fleet_enabled_backend(self, benchmark):
+    def test_bench_fleet_telemetry_backend(self, benchmark):
         benchmark.pedantic(lambda: _run_fleet_advance(Telemetry()),
                            rounds=3, iterations=1)
 
-    def test_fleet_enabled_overhead_under_bound(self):
+    def test_fleet_telemetry_overhead_under_bound(self):
         before = dict(fleet_stats)
         _run_fleet_advance(Telemetry())
         # The live backend kept every span in columns.

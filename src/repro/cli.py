@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="p99 latency target for SLO-aware serving "
                             "experiments, in milliseconds (only serving "
                             "experiments support it)")
-    run_p.add_argument("--no-fleet-kernel", action="store_true",
-                       help="advance machines one at a time instead of "
-                            "through the fleet-wide columnar kernel "
-                            "(escape hatch; results are bit-identical)")
     return parser
 
 
@@ -225,9 +221,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(report.render())
             return 0 if report.passed else 1
         if args.command == "run":
-            if args.no_fleet_kernel:
-                from .sim.kernel import set_fleet_enabled
-                set_fleet_enabled(False)
             ids = sorted(REGISTRY) if args.experiment == "all" \
                 else [args.experiment]
             if args.jobs != 1:

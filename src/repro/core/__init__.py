@@ -24,9 +24,9 @@ from .scheduler import (
     ProcessorAssignment,
     Schedule,
     FrequencyVoltageScheduler,
+    SinglePassScheduler,
 )
 from .continuous import ContinuousFrequencyScheduler
-from .singlepass import SinglePassScheduler
 from .hetero import HeterogeneousScheduler
 from .consolidation import ConsolidationGovernor
 from .voltage import VoltageSelector, default_vf_curve

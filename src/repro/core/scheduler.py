@@ -55,6 +55,7 @@ __all__ = [
     "ProcessorAssignment",
     "Schedule",
     "FrequencyVoltageScheduler",
+    "SinglePassScheduler",
 ]
 
 
@@ -663,3 +664,8 @@ class FrequencyVoltageScheduler:
         freqs_arr = self.table.freqs_array()
         freqs[:] = [float(freqs_arr[int(k)]) for k in idx]
         return result
+
+
+#: Section 5's name for the same algorithm ("it is possible to implement in
+#: a single pass scheduler"): step 2 above already is the single-pass heap.
+SinglePassScheduler = FrequencyVoltageScheduler

@@ -211,8 +211,8 @@ def run(seed: int = 2005, fast: bool = False,
         "slo_energy_j_min_budget": slo_rows[0]["energy_j"],
         "slo_energy_j_max_budget": slo_rows[-1]["energy_j"],
         # Serving-path residency: fraction of machine-spans the fleet
-        # columnar kernel kept resident across all runs (1.0 when the
-        # kernel is disabled and no spans were attempted).
+        # columnar kernel kept resident across all runs (1.0 when no
+        # span had a nonzero length).
         "fleet_residency": advances / spans if spans else 1.0,
         # Lane-level: fraction of lane-spans the vector pass carried
         # (the rest crossed, ran scalar, or were delegated).

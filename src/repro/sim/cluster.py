@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from ..errors import ClusterError
 from ..workloads.job import Job
-from .kernel import advance_machines
+from .fleet import advance_fleet
 from .machine import MachineConfig, SMPMachine
 from .network import Network, NetworkConfig
 from .node import ClusterNode
@@ -87,11 +87,12 @@ class Cluster:
     def advance(self, dt: float) -> None:
         """Step every node through one event-free span of ``dt`` seconds.
 
-        Routes through the batched kernel dispatch, so a cluster-scale
-        advance costs one kernel call per machine instead of one Python
-        step per machine per 10 ms supply-observation chunk.
+        Routes through :func:`~repro.sim.fleet.advance_fleet`, so a
+        cluster-scale advance is one numpy pass over every resident core
+        instead of one Python step per machine per 10 ms
+        supply-observation chunk.
         """
-        advance_machines(self.machines, dt)
+        advance_fleet(self.machines, dt)
 
     # -- workload placement ---------------------------------------------------------
 

@@ -1,18 +1,21 @@
 """Fleet-wide columnar advance: one numpy pass over every core in the cluster.
 
-PR 3's kernel batches the chunks *within* one machine, but a cluster span
-still costs one Python dispatch per machine: the 1024-node chaos smoke
-makes ~3M ``machine.advance`` calls per simulated second, and the per-call
-overhead — not the arithmetic — dominates.  This module inverts the
-ownership model for the duration of a run: eligible machines become *views*
-over a :class:`FleetState`, a structure of arrays holding one lane per core
+This is the simulator's one fast path: :class:`~repro.sim.driver.Simulation`
+and :meth:`Cluster.advance <repro.sim.cluster.Cluster.advance>` advance
+every event-free span through :func:`advance_fleet`.  The scalar
+``machine.advance`` / ``core.advance`` loop is the reference it reproduces.
+Stepping that loop machine by machine costs one Python dispatch per machine
+per span (the 1024-node chaos smoke would make ~3M ``machine.advance``
+calls per simulated second), and the per-call overhead — not the
+arithmetic — dominates.  This module inverts the ownership model for the
+duration of a run: eligible machines become *views* over a
+:class:`FleetState`, a structure of arrays holding one lane per core
 (frequency, throughput, phase cursor, counter totals, residency, energy
 accumulators), and one event-free span advances every lane with ~20 numpy
 operations regardless of cluster size.
 
-The contract is PR 3's, extended cluster-wide: **bit-for-bit equality**
-with the per-machine path.  The per-span update exploits the same float
-identities the kernel proved out:
+The contract is **bit-for-bit equality** with the scalar loop.  The
+per-span update rests on these float identities:
 
 * every non-crossing lane advances by the same span length, so one vector
   multiply/add per column reproduces the scalar slice exactly (elementwise
@@ -20,25 +23,27 @@ identities the kernel proved out:
 * lanes that execute nothing carry zero throughput/frequency columns, and
   ``x + 0.0`` is a bitwise no-op for the non-negative totals involved, so
   masked lanes ride along in the same vector adds untouched;
+* ``cumsum`` accumulates left to right, so a closed-form sum over many
+  chunks (idle and offline lanes of banked machines, the energy ledger)
+  is bitwise the scalar ``x += inc`` loop;
 * the few lanes that *do* hit a boundary this span (phase crossing, float
   corner) are found with one vectorized predicate — the same comparison the
-  scalar loop makes — and re-run through a literal port of the kernel's
+  scalar loop makes — and re-run through a literal port of the scalar
   slice loop against their columns.
 
 Residency matrix (what lives in columns):
 
 * **Jittered busy cores** are resident: each span draws one value per lane
-  through the core's stream-aligned ``_jitter_buf`` (the kernel's block
-  refill-64/refill-256 discipline, verbatim), folds it into that lane's
-  throughput, and lets the vector pass carry it — draw order is identical
-  to the scalar path.
+  through the core's stream-aligned ``_jitter_buf`` (block refills of 64
+  and 256; ``standard_normal(n)`` equals ``n`` scalar draws), folds it
+  into that lane's throughput, and lets the vector pass carry it — draw
+  order is identical to the scalar path.
 * **Supply-banked machines** are resident: their lanes are excluded from
   the whole-span vector pass and instead chunked at the machine's
   observation interval, replaying :meth:`SupplyBank.plan_constant_span` /
-  :meth:`SupplyBank.observe` through the same bisect machinery the
-  per-machine kernel uses.  A span a *raising* cascade would cut delegates
-  the whole fleet for that span, preserving the scalar loop's partial
-  advance and exception order.
+  :meth:`SupplyBank.observe` at the state-changing boundaries only.  A
+  span a *raising* cascade would cut delegates the whole fleet for that
+  span, preserving the scalar loop's partial advance and exception order.
 * **Enabled telemetry** is resident: per-lane ``sim_*`` counters accumulate
   in columns and flush to the registry at flush/snapshot boundaries, and
   phase-transition events are emitted at crossings with the scalar payload.
@@ -112,15 +117,24 @@ from ..power.supply import SupplyBank
 from ..telemetry import EVENT_PHASE_TRANSITION, get_telemetry
 from ..units import check_non_negative
 from ..workloads.job import Job, JobState, LoopMode
+from ..workloads.phase import Phase
 from .core import _MIN_SLICE_S, SimulatedCore
 from .counters import CounterBank
-from .idle import HOT_IDLE_PHASE, IdleStyle
-from .kernel import (_BUSY, _CHUNKED, _IDLE, _OFFLINE, _acc, _classify,
-                     _detector_passive, _hooks_intact, _phases_plain)
+from .idle import HOT_IDLE_PHASE, IdleDetector, IdleStyle
 from .machine import SMPMachine, observation_bounds
 from .os_sched import Dispatcher
 from .powermeter import PowerMeter
 from .throttle import ThrottleActuator
+
+# Per-lane execution modes over one event-free span.
+_OFFLINE = 0    # closed form: residency only
+_IDLE = 1       # closed form: one stationary idle slice per chunk
+_BUSY = 2       # columns plus the crossing replay of the slice loop
+_CHUNKED = 3    # object-authoritative: the scalar core.advance each span
+
+#: Hooks whose override forces the scalar path.
+_CORE_HOOKS = ("advance", "_advance_slice", "_advance_idle",
+               "_advance_overhead", "_jitter_scale", "_record_residency")
 
 __all__ = ["FleetState", "advance_fleet", "flush_machines", "reset_fleet",
            "fleet_stats", "fleet_fallback_reasons", "fallback_breakdown",
@@ -242,6 +256,34 @@ class _Evict(Exception):
     """A lane can no longer be represented in columns; rebuild the fleet."""
 
 
+def _acc(initial: float, increments: np.ndarray) -> float:
+    """Sequential ``x += inc`` over ``increments`` starting from ``initial``
+    (``cumsum`` accumulates left-to-right, so this is bitwise the loop)."""
+    buf = np.empty(increments.size + 1)
+    buf[0] = initial
+    buf[1:] = increments
+    return float(buf.cumsum()[-1])
+
+
+def _hooks_intact(core: SimulatedCore) -> bool:
+    t = type(core)
+    if t is SimulatedCore:
+        return True
+    return all(getattr(t, h) is getattr(SimulatedCore, h) for h in _CORE_HOOKS)
+
+
+def _phases_plain(job: Job) -> bool:
+    ok = job.__dict__.get("_fleet_phases_plain")
+    if ok is None:
+        ok = all(type(p) is Phase for p in job.phases)
+        job.__dict__["_fleet_phases_plain"] = ok
+    return ok
+
+
+def _detector_passive(det) -> bool:
+    return type(det) is IdleDetector and det.passive
+
+
 def _queue_plain(queue) -> bool:
     for job in queue:
         if not _phases_plain(job):
@@ -251,39 +293,31 @@ def _queue_plain(queue) -> bool:
 
 def _classify_lane(core: SimulatedCore, t0: float,
                    banked: bool) -> tuple[int, bool] | None:
-    """Fleet-side extension of :func:`kernel._classify`.
+    """Execution mode of one core over an event-free span, as
+    ``(mode, volatile)``, or None (the machine must delegate).
 
-    Returns ``(mode, volatile)`` or None (the machine must delegate).
-    Beyond the kernel's modes, this admits what only the fleet layer can
-    keep resident on unbanked machines:
+    * an offline core is ``_OFFLINE`` and an empty run queue ``_IDLE``;
+    * a run queue of plain-phase :class:`Job` objects is ``_BUSY`` — a ONCE
+      job's completion, the round-robin quantum's expiry and the hand-off
+      to the next queued job are columnar crossings replayed by
+      :meth:`FleetState._advance_busy_lane`;
+    * overhead debt or a custom counter bank makes the lane ``_CHUNKED``:
+      the scalar ``core.advance`` runs it each span.  Under pending
+      frequency settling or a queue holding ONCE work the lane is also
+      *volatile* — re-derived (power included) at every span start,
+      exactly when the scalar ``machine._advance_to`` would re-read
+      ``core_power_w``.
 
-    * a run queue of plain-phase :class:`Job` objects of any loop modes
-      and any length is ``_BUSY`` — a ONCE job's completion, the round-robin
-      quantum's expiry and the hand-off to the next queued job are
-      columnar crossings replayed by :meth:`FleetState._advance_busy_lane`;
-    * pending frequency settling, and overhead debt or a custom counter
-      bank under a queue holding ONCE work, are ``_CHUNKED`` *volatile*
-      lanes:
-      ``core.advance`` handles the interior boundary each span, and the
-      lane re-derives (power included) at every span start — exactly when
-      the scalar ``machine._advance_to`` would re-read ``core_power_w``.
-
-    Banked machines keep the kernel's stricter gate: their chunk walk
-    prices the whole span's demand up front, which a mid-span completion
-    or settle would invalidate, so they delegate until drained.
+    Banked machines keep a stricter gate: their chunk walk prices the
+    whole span's demand up front, which a mid-span completion or settle
+    would invalidate, so a banked machine with pending settling or ONCE
+    work delegates until it drains, and a multi-job run queue on it is a
+    chunked lane.
     """
-    mode = _classify(core)
-    if mode is not None:
-        if (mode == _CHUNKED and not banked
-                and core._overhead_debt_s <= _MIN_SLICE_S
-                and type(core.counters) is CounterBank
-                and _queue_plain(core.dispatcher._queue)):
-            return _BUSY, False     # a multi-job LOOP queue
-        return mode, False
-    if banked:
+    if not _hooks_intact(core):
         return None
-    if not _hooks_intact(core) or core.offline:
-        return None
+    if core.offline:
+        return _OFFLINE, False
     act = core.actuator
     if type(act) is not ThrottleActuator:
         return None
@@ -292,23 +326,29 @@ def _classify_lane(core: SimulatedCore, t0: float,
     if type(core.dispatcher) is not Dispatcher:
         return None
     queue = core.dispatcher._queue
+    loop_only = True
     for job in queue:
         if type(job) is not Job:
             return None
-    # Observe (and passively settle) through the public actuator API —
-    # the same call the scalar path's first slice makes at span start.
-    act.effective_hz(t0)
-    if act.pending:
-        return _CHUNKED, True
-    if core._overhead_debt_s > _MIN_SLICE_S:
-        return _CHUNKED, True
-    if type(core.counters) is not CounterBank:
-        return _CHUNKED, True
+        if job.loop is not LoopMode.LOOP:
+            loop_only = False
+    volatile = act.pending or not loop_only
+    if volatile:
+        if banked:
+            return None
+        # Observe (and passively settle) through the public actuator API —
+        # the same call the scalar path's first slice makes at span start.
+        act.effective_hz(t0)
+        if act.pending:
+            return _CHUNKED, True
+    if (core._overhead_debt_s > _MIN_SLICE_S
+            or type(core.counters) is not CounterBank):
+        return _CHUNKED, volatile
     if not queue:
         return _IDLE, False
-    if _queue_plain(queue):
+    if (len(queue) == 1 or not banked) and _queue_plain(queue):
         return _BUSY, False
-    return _CHUNKED, True
+    return _CHUNKED, volatile
 
 
 class FleetState:
@@ -683,8 +723,8 @@ class FleetState:
 
     def _phase_data(self, job: Job, lat) -> tuple:
         """Per-phase (name, instructions, core CPI, memory time per
-        instruction, L2/L3/memory/L1-stall rates) — the kernel's hoisted
-        slice-loop constants, same IEEE ops."""
+        instruction, L2/L3/memory/L1-stall rates) — the slice loop's
+        per-phase constants hoisted out, same IEEE ops."""
         key = (job.phases, lat)
         pdata = self._pdata_cache.get(key)
         if pdata is None:
@@ -972,9 +1012,10 @@ class FleetState:
         """Draw this span's jitter value for every unbanked jittered busy
         lane and fold it into that lane's throughput column.
 
-        Mirrors the kernel's buffer discipline exactly: refill 64 at span
-        start iff the buffer is absent or sigma changed, refill 256 on
-        exhaustion, one draw per slice — and the vector pass is one slice.
+        Buffer discipline: refill 64 at span start iff the buffer is
+        absent or sigma changed, refill 256 on exhaustion, one draw per
+        slice — and the vector pass is one slice.  Block draws equal the
+        scalar ``_jitter_scale`` draws, so the stream stays aligned.
         Per-core RNG streams are independent, so lane order is irrelevant.
         The throughput is the scalar's ``freq / (ccpi + mem * jit * freq)``
         elementwise, so the vector op equals the per-lane one bit for bit.
@@ -1042,9 +1083,9 @@ class FleetState:
         return plans
 
     def _advance_banked(self, plans) -> int:
-        """Advance each banked machine through its observation chunks —
-        the kernel's ``advance_machine_span`` against columns: cores in
-        order, then the ledger's 2-D cumsum, then the planned observes.
+        """Advance each banked machine through its observation chunks
+        against columns: cores in order, then the ledger's 2-D cumsum,
+        then the planned observes.
         Returns how many busy lanes ran the slice-loop replay."""
         kind = self.kind
         cores = self.cores
@@ -1081,13 +1122,15 @@ class FleetState:
             self.e_last[e_lo:e_hi] = barr[-1]
             for j in actions:
                 # The real observe: overload episodes, cascades, PSU
-                # events — identical to the per-machine kernel's replay.
+                # events — at the boundaries the scalar loop changes state.
                 m.supply_bank.observe(bounds[j], demand)
         return nbusy
 
     def _advance_idle_lane(self, i: int, dts: np.ndarray) -> None:
-        """The kernel's ``_advance_idle_span`` against this lane's columns
-        (the caller pre-checked the float-residue corner)."""
+        """One stationary idle slice per chunk, accumulated in bulk with
+        :func:`_acc` (the caller pre-checked the float-residue corner: at
+        very large times ``start + (end - start)`` can round short enough
+        that the scalar loop cuts a second degenerate slice)."""
         use = dts[dts > _MIN_SLICE_S]
         if use.size == 0:
             return

@@ -10,7 +10,7 @@ from repro.core.daemon_mt import (
     MultithreadOverheadModel,
 )
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
-from repro.core.singlepass import SinglePassScheduler
+from repro.core import SinglePassScheduler
 from repro.errors import InfeasibleBudgetError
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
-from repro.core.singlepass import SinglePassScheduler
+from repro.core import SinglePassScheduler
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig, SMPMachine

@@ -1,11 +1,12 @@
-"""The fleet-wide columnar kernel reproduces the per-machine path bit-for-bit.
+"""The fleet-wide columnar kernel reproduces the scalar loop bit-for-bit.
 
 :func:`repro.sim.fleet.advance_fleet` advances every eligible core in the
 cluster through shared numpy columns; this file replays identical scenarios
-through three paths — the fleet columns, the per-machine kernel
-(``set_fleet_enabled(False)``), and the literal ``machine.advance`` loop —
-and asserts *exact* float equality of every piece of machine state.  No
-tolerances anywhere: one reordered IEEE operation fails the suite.
+through the fleet columns and through the literal scalar
+``machine.advance`` loop (under :class:`Simulation`, via
+:func:`scalar_driver`) and asserts *exact* float equality of every piece
+of machine state.  No tolerances anywhere: one reordered IEEE operation
+fails the suite.
 
 Coverage: randomized heterogeneous fleets (busy / hot-idle / halted /
 offline / run-queue cores, with and without latency jitter),
@@ -19,19 +20,22 @@ snapshots mid-run, and the ``lossy`` / ``crash`` / ``chaos`` fault
 scenarios run end-to-end through the cluster coordinator.
 
 Serving residency: open-loop request fleets (every request a ONCE job)
-replay three ways too — arrivals and completions mid-span, queue drain to
-hot idle, ``detach()``/re-attach, censored in-flight accounting, and
-per-request ``elapsed_s`` stamps — and a stock serving fleet must take
-*zero* fallbacks (completion is a columnar crossing, not a delegation)
-and run *zero* scalar lane-spans.
+replay against the scalar loop too — arrivals and completions mid-span,
+queue drain to hot idle, ``detach()``/re-attach, censored in-flight
+accounting, and per-request ``elapsed_s`` stamps — and a stock serving
+fleet must take *zero* fallbacks (completion is a columnar crossing, not
+a delegation) and run *zero* scalar lane-spans.
 
 Run queues: cores multiplexing 2-4 LOOP jobs, ONCE backlogs draining back
-to back inside one span, and mixed LOOP/ONCE queues replay three ways
-with quantum expiries mid-span and exactly on span ends, ``add_job`` onto
-busy lanes mid-quantum, migration of a queue's current job (the quantum
-reset) and of a queued one, jitter on and off, hot-loop and halt idling,
-and telemetry on (the phase-transition event order is pinned).
+to back inside one span, and mixed LOOP/ONCE queues replay against the
+scalar loop with quantum expiries mid-span and exactly on span ends,
+``add_job`` onto busy lanes mid-quantum, migration of a queue's current
+job (the quantum reset) and of a queued one, jitter on and off, hot-loop
+and halt idling, and telemetry on (the phase-transition event order is
+pinned).
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -46,23 +50,13 @@ from repro.sim import fleet as fleet_mod
 from repro.sim.driver import Simulation as Driver
 from repro.sim.fleet import (FleetState, advance_fleet, fallback_breakdown,
                              fleet_stats, flush_machines, reset_fleet)
-from repro.sim import kernel as kernel_mod
 from repro.sim.idle import IdleStyle
-from repro.sim.kernel import advance_machines, fleet_enabled, set_fleet_enabled
 from repro.errors import CascadeFailureError
 from repro.telemetry import EVENT_PHASE_TRANSITION, Telemetry, use_telemetry
 from repro.workloads.job import Job, LoopMode
 from repro.workloads.server import RequestSpec
 from repro.workloads.serving import FleetTrafficSource
 from repro.workloads.synthetic import synthetic_phase
-
-
-@pytest.fixture(autouse=True)
-def _fleet_on():
-    """Each test starts with the fleet kernel enabled and leaves it so."""
-    set_fleet_enabled(True)
-    yield
-    set_fleet_enabled(True)
 
 
 # -- state capture ----------------------------------------------------------------
@@ -120,13 +114,30 @@ def phase_events(tel):
             for e in tel.events.events_of(EVENT_PHASE_TRANSITION)]
 
 
-def run_three_ways(build, script, *, telemetry=False):
-    """Replay ``script(machines, advance)`` through the fleet columns, the
-    per-machine kernel, and the literal scalar loop; exact state equality.
-    ``build()`` must be deterministic.  With ``telemetry`` each replay
-    runs under its own enabled :class:`Telemetry` and the three
-    phase-transition event streams must match too (order included)."""
-    tels = [Telemetry() if telemetry else None for _ in range(3)]
+@contextlib.contextmanager
+def scalar_driver():
+    """Route every :class:`Simulation` span through the literal
+    per-machine ``m.advance(dt)`` loop — the scalar reference the fleet
+    reproduces — instead of :func:`advance_fleet`."""
+    def advance(self, dt):
+        for m in self.machines:
+            m.advance(dt)
+
+    orig = Driver._advance_machines
+    Driver._advance_machines = advance
+    try:
+        yield
+    finally:
+        Driver._advance_machines = orig
+
+
+def run_two_ways(build, script, *, telemetry=False):
+    """Replay ``script(machines, advance)`` through the fleet columns and
+    the literal scalar loop; exact state equality.  ``build()`` must be
+    deterministic.  With ``telemetry`` each replay runs under its own
+    enabled :class:`Telemetry` and the two phase-transition event streams
+    must match too (order included)."""
+    tels = [Telemetry() if telemetry else None for _ in range(2)]
 
     def replay(tel, build_and_run):
         if tel is None:
@@ -136,14 +147,9 @@ def run_three_ways(build, script, *, telemetry=False):
 
     def fleet_run():
         cols = build()
-        script(cols, lambda dt: advance_machines(cols, dt))
+        script(cols, lambda dt: advance_fleet(cols, dt))
         flush_machines(cols)
         return cols
-
-    def kernel_run():
-        kern = build()
-        script(kern, lambda dt: advance_machines(kern, dt))
-        return kern
 
     def scalar_run():
         scal = build()
@@ -155,20 +161,13 @@ def run_three_ways(build, script, *, telemetry=False):
         return scal
 
     cols = replay(tels[0], fleet_run)
-    set_fleet_enabled(False)
-    try:
-        kern = replay(tels[1], kernel_run)
-        scal = replay(tels[2], scalar_run)
-    finally:
-        set_fleet_enabled(True)
+    scal = replay(tels[1], scalar_run)
 
-    a, b, c = fleet_state(cols), fleet_state(kern), fleet_state(scal)
-    assert a == b
-    assert b == c
+    assert fleet_state(cols) == fleet_state(scal)
     if telemetry:
         ev = [phase_events(t) for t in tels]
         assert ev[0]
-        assert ev[0] == ev[1] == ev[2]
+        assert ev[0] == ev[1]
     return cols
 
 
@@ -215,7 +214,7 @@ def test_hetero_fleet_matches_both_references():
         ms[2].core(1).set_frequency(POWER4_TABLE.freqs_hz[9], now)
         advance(0.2003)
 
-    run_three_ways(lambda: hetero_fleet(31), script)
+    run_two_ways(lambda: hetero_fleet(31), script)
 
 
 def test_randomized_fleets_match(subtests=None):
@@ -239,7 +238,7 @@ def test_randomized_fleets_match(subtests=None):
                     m.core(ci % m.num_cores).set_frequency(
                         POWER4_TABLE.freqs_hz[fi], m.now_s)
 
-        run_three_ways(build, script)
+        run_two_ways(build, script)
 
 
 def test_cascade_mid_span_matches():
@@ -267,7 +266,7 @@ def test_cascade_mid_span_matches():
         advance(1.2)     # overload episode runs past the cascade deadline
 
     before = dict(fleet_stats)
-    ms = run_three_ways(build, script)
+    ms = run_two_ways(build, script)
     assert ms[0].supply_bank.cascade_count > 0
     # Both machines went through columns on both spans: no fallbacks.
     assert fleet_stats["advances"] == before["advances"] + 4
@@ -304,7 +303,7 @@ def test_jitter_lanes_match_both_references():
         advance(0.42)
 
     before = dict(fleet_stats)
-    run_three_ways(build, script)
+    run_two_ways(build, script)
     assert fleet_stats["fallbacks"] == before["fallbacks"]
     assert fleet_stats["advances"] == before["advances"] + 15
 
@@ -328,7 +327,7 @@ def test_randomized_jitter_fleets_match():
                         POWER4_TABLE.freqs_hz[(k * 3) % len(
                             POWER4_TABLE.freqs_hz)], m.now_s)
 
-        run_three_ways(build, script)
+        run_two_ways(build, script)
 
 
 def test_jitter_sigma_changes_between_spans():
@@ -362,7 +361,7 @@ def test_jitter_sigma_changes_between_spans():
         advance(0.2)      # sigma -> 0: jitterless again
         advance(0.1)
 
-    run_three_ways(build, script)
+    run_two_ways(build, script)
 
 
 def test_mutators_between_spans_match():
@@ -389,7 +388,7 @@ def test_mutators_between_spans_match():
         ms[2].migrate(job, 0, 1, cost_s=0.002)
         advance(0.044)
 
-    run_three_ways(build, script)
+    run_two_ways(build, script)
 
 
 def test_once_job_machine_stays_resident_through_completion():
@@ -421,7 +420,7 @@ def test_once_job_machine_stays_resident_through_completion():
         assert jobs[-1].completed_at_s is not None
 
     before = dict(fleet_stats)
-    ms = run_three_ways(build, script)
+    ms = run_two_ways(build, script)
     # Only the first replay runs through the fleet: 8 spans x 2 machines,
     # every one resident, none delegated.
     assert fleet_stats["advances"] == before["advances"] + 16
@@ -477,7 +476,7 @@ def lane_delta(before):
 def test_loop_run_queues_rotate_in_columns(sigma, style):
     """2-4 LOOP jobs per core: quantum expiries land mid-span, several per
     span, and exactly on span ends; every lane stays a column lane (no
-    scalar core.advance) and all three paths agree bit for bit."""
+    scalar core.advance) and the fleet and scalar paths agree bit for bit."""
     def script(ms, advance):
         for _ in range(5):
             advance(_Q)             # expiry exactly at each span end
@@ -488,7 +487,7 @@ def test_loop_run_queues_rotate_in_columns(sigma, style):
             advance(dt)
 
     before = fleet_mod.fleet_lane_breakdown()
-    run_three_ways(lambda: run_queue_fleet(5, sigma=sigma, style=style),
+    run_two_ways(lambda: run_queue_fleet(5, sigma=sigma, style=style),
                    script)
     d = lane_delta(before)
     assert d["scalar"] == 0
@@ -520,7 +519,7 @@ def test_once_backlog_completes_back_to_back_in_one_span():
         advance(0.01)
 
     before = fleet_mod.fleet_lane_breakdown()
-    ms = run_three_ways(build, script, telemetry=True)
+    ms = run_two_ways(build, script, telemetry=True)
     assert lane_delta(before)["scalar"] == 0
     for m in ms:
         finished = m.cores[0].dispatcher.finished
@@ -535,12 +534,12 @@ def test_once_backlog_completes_back_to_back_in_one_span():
 def test_mixed_loop_and_once_queue(sigma):
     """LOOP and ONCE jobs interleaved in one queue: rotations, completions
     mid-quantum (the quantum resets for the next job), phase crossings and
-    their events, all identical on the three paths."""
+    their events, all identical on the fleet and scalar paths."""
     def script(ms, advance):
         for dt in (_Q, 0.0021, 0.013, _Q, 0.031, 0.0007, 0.022):
             advance(dt)
 
-    run_three_ways(
+    run_two_ways(
         lambda: run_queue_fleet(19, sigma=sigma, style=IdleStyle.HALT,
                                 loops=(2, 3), once=2),
         script, telemetry=True)
@@ -573,7 +572,7 @@ def test_run_queue_mutators_mid_quantum():
         advance(0.011)
 
     before = fleet_mod.fleet_lane_breakdown()
-    run_three_ways(build, script, telemetry=True)
+    run_two_ways(build, script, telemetry=True)
     d = lane_delta(before)
     assert d["scalar"] == 0
     assert d["rederived"] > 0
@@ -594,7 +593,7 @@ def test_remove_current_job_resets_resident_quantum():
         ms[0].core(0)._fleet_invalidate()
         advance(0.2 * _Q)
 
-    cols = run_three_ways(build, script)
+    cols = run_two_ways(build, script)
     # Reset to a full quantum, then charged 0.2 of one (not 0.4 + 0.2).
     assert cols[0].core(0).dispatcher._quantum_left_s == \
         pytest.approx(0.8 * _Q)
@@ -639,10 +638,10 @@ def serving_snapshot(machines, traffic, horizon_s):
             censored.value_dict(), next_draws)
 
 
-def run_serving_three_ways(build, script, horizon_s):
-    """Replay ``script(sim, traffic)`` through the fleet columns, the
-    per-machine kernel, and the literal scalar slice loop (the kernel
-    monkeypatched away); exact snapshot equality."""
+def run_serving_two_ways(build, script, horizon_s):
+    """Replay ``script(sim, traffic)`` through the fleet columns and the
+    literal scalar slice loop (:func:`scalar_driver`); exact snapshot
+    equality."""
     def run():
         machines, sim, traffic = build()
         script(sim, traffic)
@@ -650,30 +649,16 @@ def run_serving_three_ways(build, script, horizon_s):
         return serving_snapshot(machines, traffic, horizon_s)
 
     cols = run()
-    set_fleet_enabled(False)
-    try:
-        kern = run()
-        orig = kernel_mod.try_fast_advance
-
-        def no_fast_advance(*args, **kwargs):
-            return False
-
-        kernel_mod.try_fast_advance = no_fast_advance
-        try:
-            scal = run()
-        finally:
-            kernel_mod.try_fast_advance = orig
-    finally:
-        set_fleet_enabled(True)
-    assert cols == kern
-    assert kern == scal
+    with scalar_driver():
+        scal = run()
+    assert cols == scal
     return cols
 
 
 def test_serving_open_loop_three_way_equality():
     """Randomized open-loop traffic on a jittered hot-idle fleet: arrivals
     and completions land mid-span, queues drain to hot idle between them,
-    and all three paths agree exactly."""
+    and the fleet and scalar paths agree exactly."""
     def build():
         return serving_build(nodes=3, procs=2, rate=240.0,
                              spec=RequestSpec(instructions=8e6))
@@ -682,7 +667,7 @@ def test_serving_open_loop_three_way_equality():
         traffic.attach(sim)
         sim.run_for(0.4)
 
-    snap = run_serving_three_ways(build, script, 0.4)
+    snap = run_serving_two_ways(build, script, 0.4)
     _, _, issued, completed, _, _, _ = snap
     assert issued > 20
     assert completed > 0
@@ -700,7 +685,7 @@ def test_serving_overload_censoring_three_way():
         traffic.attach(sim)
         sim.run_for(0.25)
 
-    snap = run_serving_three_ways(build, script, 0.25)
+    snap = run_serving_two_ways(build, script, 0.25)
     _, _, issued, completed, in_flight, _, _ = snap
     assert completed > 0
     assert in_flight > 0    # genuinely overloaded: censoring matters
@@ -721,7 +706,7 @@ def test_serving_detach_reattach_three_way():
         traffic.attach(sim)
         sim.run_for(0.15)
 
-    run_serving_three_ways(build, script, 0.4)
+    run_serving_two_ways(build, script, 0.4)
 
 
 def test_stock_serving_fleet_takes_no_fallbacks():
@@ -783,7 +768,7 @@ def test_enabled_telemetry_stays_resident():
     """Live telemetry no longer forces the per-machine path: machines stay
     in columns, the sim_* counters batch at span boundaries, and the
     phase-transition event stream (counts, timestamps, payloads) is
-    identical to both reference paths."""
+    identical to the scalar reference."""
     def build():
         ms = []
         for i in range(2):
@@ -807,26 +792,16 @@ def test_enabled_telemetry_stays_resident():
         adv = tel_cols.metrics.counter("sim_fleet_advances_total")
         assert adv.value == 12.0
 
-    tel_kern = Telemetry()
-    set_fleet_enabled(False)
-    try:
-        with use_telemetry(tel_kern):
-            kern = build()
-            for _ in range(6):
-                advance_machines(kern, 0.017)
-        tel_scal = Telemetry()
-        with use_telemetry(tel_scal):
-            scal = build()
-            for _ in range(6):
-                for m in scal:
-                    m.advance(0.017)
-    finally:
-        set_fleet_enabled(True)
+    tel_scal = Telemetry()
+    with use_telemetry(tel_scal):
+        scal = build()
+        for _ in range(6):
+            for m in scal:
+                m.advance(0.017)
 
-    assert fleet_state(cols) == fleet_state(kern) == fleet_state(scal)
+    assert fleet_state(cols) == fleet_state(scal)
     assert phase_events(tel_cols)    # phases actually crossed
-    assert phase_events(tel_cols) == phase_events(tel_kern) == \
-        phase_events(tel_scal)
+    assert phase_events(tel_cols) == phase_events(tel_scal)
 
 
 def test_lane_breakdown_partitions_every_lane_span():
@@ -910,26 +885,20 @@ def test_raising_cascade_falls_back_whole_span():
 
     cols = build()
     before = fallback_breakdown()
-    run(cols, lambda dt: advance_machines(cols, dt))
+    run(cols, lambda dt: advance_fleet(cols, dt))
     flush_machines(cols)
     assert fallback_breakdown().get("bank", 0) == before.get("bank", 0) + 1
 
-    set_fleet_enabled(False)
-    try:
-        kern = build()
-        run(kern, lambda dt: advance_machines(kern, dt))
-        scal = build()
-        run(scal, lambda dt: scal[0].advance(dt))
-    finally:
-        set_fleet_enabled(True)
-    assert fleet_state(cols) == fleet_state(kern) == fleet_state(scal)
+    scal = build()
+    run(scal, lambda dt: scal[0].advance(dt))
+    assert fleet_state(cols) == fleet_state(scal)
 
 
 def test_shared_bank_machines_stay_delegates():
     """A bank shared between machines needs interleaved cross-machine
     observations that the per-machine plan/replay cannot reproduce: those
     machines delegate (reason ``bank``) while stock peers stay resident,
-    and all three paths still agree exactly."""
+    and the fleet and scalar paths still agree exactly."""
     def build():
         bank = SupplyBank.example_p630(raise_on_cascade=False)
         ms = []
@@ -955,31 +924,11 @@ def test_shared_bank_machines_stay_delegates():
 
     stats_before = dict(fleet_stats)
     reasons_before = fallback_breakdown()
-    run_three_ways(build, script)
+    run_two_ways(build, script)
     assert fleet_stats["advances"] == stats_before["advances"] + 2
     assert fleet_stats["fallbacks"] == stats_before["fallbacks"] + 4
     assert fallback_breakdown().get("bank", 0) == \
         reasons_before.get("bank", 0) + 4
-
-
-def test_escape_hatch_toggles_routing():
-    assert fleet_enabled()
-    set_fleet_enabled(False)
-    assert not fleet_enabled()
-    m = SMPMachine(MachineConfig(
-        num_cores=1, core_config=CoreConfig(latency_jitter_sigma=0.0)), seed=0)
-    before = dict(fleet_stats)
-    advance_machines([m], 0.01)
-    assert fleet_stats == before           # fleet module never consulted
-    assert m.__dict__.get("_fleet_cache") is None
-
-
-def test_cli_no_fleet_kernel_flag():
-    from repro.cli import build_parser
-    args = build_parser().parse_args(["run", "table3", "--no-fleet-kernel"])
-    assert args.no_fleet_kernel
-    args = build_parser().parse_args(["run", "table3"])
-    assert not args.no_fleet_kernel
 
 
 # -- lazy flush / view synchronisation ---------------------------------------------
@@ -1000,13 +949,9 @@ def test_snapshot_mid_run_sees_exact_counters():
         advance_fleet(cols, 0.013, flush=False)
     snap_cols = cols[0].cores[0].counters.snapshot()
 
-    set_fleet_enabled(False)
-    try:
-        ref = build()
-        for _ in range(7):
-            advance_machines(ref, 0.013)
-    finally:
-        set_fleet_enabled(True)
+    ref = build()
+    for _ in range(7):
+        ref[0].advance(0.013)
     snap_ref = ref[0].cores[0].counters.snapshot()
     assert snap_cols.as_tuple() == snap_ref.as_tuple()
 
@@ -1028,14 +973,11 @@ def test_driver_flushes_on_run_until_return():
     sim.every(0.01, lambda t: None)   # event-dense run, all through columns
     sim.run_for(0.5)
 
-    set_fleet_enabled(False)
-    try:
+    with scalar_driver():
         ref = build()
         sim2 = Simulation(ref)
         sim2.every(0.01, lambda t: None)
         sim2.run_for(0.5)
-    finally:
-        set_fleet_enabled(True)
     assert machine_state(m) == machine_state(ref)
 
 
@@ -1075,8 +1017,8 @@ def test_overlapping_fleets_steal_cleanly():
 @pytest.mark.parametrize("scenario", ["lossy", "crash", "chaos"])
 def test_fault_scenarios_end_to_end(scenario):
     """A faulted coordinator run over a small cluster is bit-identical
-    with the fleet kernel on and off — loss, crash windows, partitions,
-    degraded scheduling and all."""
+    through the fleet columns and the scalar loop — loss, crash windows,
+    partitions, degraded scheduling and all."""
     def run():
         cluster = Cluster.homogeneous(
             4,
@@ -1102,14 +1044,11 @@ def test_fault_scenarios_end_to_end(scenario):
                for e in coord.log.schedule_entries]
         return fleet_state(cluster.machines), log
 
-    state_on, log_on = run()
-    set_fleet_enabled(False)
-    try:
-        state_off, log_off = run()
-    finally:
-        set_fleet_enabled(True)
-    assert log_on == log_off
-    assert state_on == state_off
+    state_fleet, log_fleet = run()
+    with scalar_driver():
+        state_scalar, log_scalar = run()
+    assert log_fleet == log_scalar
+    assert state_fleet == state_scalar
 
 
 # -- the batched energy ledger ----------------------------------------------------

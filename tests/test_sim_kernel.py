@@ -1,12 +1,13 @@
-"""The batched advance kernel reproduces the scalar chunk loop bit-for-bit.
+"""A fleet of one reproduces the literal scalar chunk loop bit-for-bit.
 
-``SMPMachine.advance`` routes event-free spans through
-:mod:`repro.sim.kernel`; this file re-implements the pre-kernel path — the
-10 ms per-chunk loop with the literal per-core slice loop inside — and
-asserts *exact* float equality of every piece of machine state (counters,
-residency, job cursors, energy ledger, supply-bank bookkeeping) on mixed
-and randomized scenarios, including overload episodes and cascade failures.
-No tolerances anywhere: one reordered IEEE operation fails the suite.
+Every event-free span advances through :func:`repro.sim.fleet.advance_fleet`;
+this file re-implements the scalar path literally — the 10 ms per-chunk
+loop with the per-core slice loop inside — and asserts *exact* float
+equality of every piece of machine state (counters, residency, job
+cursors, energy ledger, supply-bank bookkeeping) after advancing one
+machine as ``advance_fleet([m], dt)``, on mixed and randomized scenarios,
+including overload episodes and cascade failures.  No tolerances
+anywhere: one reordered IEEE operation fails the suite.
 """
 
 import copy
@@ -21,20 +22,20 @@ from repro.power.table import POWER4_TABLE
 from repro.sim import Cluster, CoreConfig, MachineConfig, SMPMachine, Simulation
 from repro.sim.core import _MIN_SLICE_S
 from repro.sim.idle import IdleStyle
-from repro.sim.kernel import advance_machine_span
+from repro.sim.fleet import advance_fleet
 from repro.workloads.job import Job, LoopMode
 from repro.workloads.synthetic import synthetic_phase
 
 
-# -- the literal pre-kernel oracle ------------------------------------------------
+# -- the literal scalar oracle ----------------------------------------------------
 
 
 def reference_advance(machine, dt):
-    """``SMPMachine.advance`` as the literal pre-kernel code path.
+    """``SMPMachine.advance`` written out literally.
 
     Scalar chunking at the supply-observation interval, the per-core slice
-    loop inlined from ``SimulatedCore.advance`` (so the batched kernel is
-    bypassed entirely), sequential ledger/bank updates per chunk.
+    loop inlined from ``SimulatedCore.advance``, sequential ledger/bank
+    updates per chunk.
     """
     if dt == 0.0:
         return
@@ -100,7 +101,7 @@ def machine_state(m):
 
 
 def run_both(build, script):
-    """Run one scenario on a kernel-path machine and on the oracle.
+    """Run one scenario on a fleet of one and on the oracle.
 
     ``build()`` must be deterministic (seeded); ``script(machine, advance)``
     replays the identical event sequence on both, advancing through the
@@ -108,7 +109,7 @@ def run_both(build, script):
     """
     fast = build()
     slow = build()
-    script(fast, fast.advance)
+    script(fast, lambda d: advance_fleet([fast], d))
     script(slow, lambda d: reference_advance(slow, d))
     assert machine_state(fast) == machine_state(slow)
     return fast, slow
@@ -126,7 +127,8 @@ def looping_job(name, ratios, *, duration_s=0.05):
 
 
 def build_mixed(seed=3):
-    """One core of each kind: inlined busy, chunked busy, idle, offline."""
+    """One core of each kind: single-job busy, run-queue busy, idle,
+    offline (banked, so the run queue is a chunked lane)."""
     m = SMPMachine(
         MachineConfig(num_cores=4,
                       core_config=CoreConfig(latency_jitter_sigma=0.02)),
@@ -195,22 +197,10 @@ def test_no_supply_bank_matches_reference():
     run_both(build, script)
 
 
-def test_once_job_declines_batched_span_without_mutation():
-    m = SMPMachine(MachineConfig(num_cores=2),
-                   supply_bank=SupplyBank.example_p630(),
-                   seed=5)
-    m.assign(0, Job(name="once",
-                    phases=(synthetic_phase(1.0, duration_s=0.05),),
-                    loop=LoopMode.ONCE))
-    before = machine_state(m)
-    assert advance_machine_span(m, [m.now_s + 0.01, m.now_s + 0.02]) is False
-    assert machine_state(m) == before
-
-
 def test_once_job_full_advance_matches_reference():
-    """ONCE jobs take the scalar path end to end — including completion
-    mid-span flipping the core idle (and its power draw) at an interior
-    chunk boundary."""
+    """A banked machine holding ONCE work delegates to the scalar path
+    until it drains — including completion mid-span flipping the core idle
+    (and its power draw) at an interior chunk boundary."""
     def build():
         m = SMPMachine(
             MachineConfig(num_cores=2,
@@ -269,7 +259,7 @@ def test_raising_cascade_leaves_identical_partial_state():
     fast = build()
     slow = build()
     with pytest.raises(CascadeFailureError):
-        fast.advance(2.0)
+        advance_fleet([fast], 2.0)
     with pytest.raises(CascadeFailureError):
         reference_advance(slow, 2.0)
     # Both stop advanced exactly through the chunk at which observe raised.
@@ -306,11 +296,11 @@ def test_randomized_machines_match_reference(seed):
         )
         k = iter(range(12))
         for c, kind in enumerate(kinds):
-            if kind == 0:            # single looping job: the inlined path
+            if kind == 0:            # single looping job
                 m.assign(c, looping_job(
                     f"c{c}", (ratios[next(k)], ratios[next(k)]),
                     duration_s=durations[c]))
-            elif kind == 1:          # two jobs: the chunked path
+            elif kind == 1:          # two jobs: a chunked run-queue lane
                 m.assign(c, looping_job(f"c{c}a", (ratios[next(k)],),
                                         duration_s=durations[c]))
                 m.assign(c, looping_job(f"c{c}b", (ratios[next(k)],),

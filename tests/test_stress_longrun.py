@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.daemon import DaemonConfig, FvsstDaemon, OverheadModel
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
-from repro.core.singlepass import SinglePassScheduler
+from repro.core import SinglePassScheduler
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE
 from repro.sim.driver import Simulation
