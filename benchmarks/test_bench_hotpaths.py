@@ -368,36 +368,76 @@ def _node_reports(nodes: int, procs: int, seed: int = 17, start: int = 0):
     return reports
 
 
-def _coordinator(columnar: bool):
+def _object_views(predictor, reports) -> list[ProcessorView]:
+    """The per-object reference views: one ``CounterSample``, one
+    ``signature_from_sample`` call and one ``ProcessorView`` per processor
+    (an empty window gets no signature)."""
+    views: list[ProcessorView] = []
+    for report in reports:
+        for proc in sorted(report.procs, key=lambda p: p.proc_id):
+            signature = None
+            if proc.interval_s > 0.0:
+                signature = predictor.signature_from_sample(CounterSample(
+                    time_s=report.time_s, interval_s=proc.interval_s,
+                    instructions=proc.instructions, cycles=proc.cycles,
+                    n_l2=proc.n_l2, n_l3=proc.n_l3, n_mem=proc.n_mem,
+                    l1_stall_cycles=proc.l1_stall_cycles,
+                    halted_cycles=proc.halted_cycles))
+            views.append(ProcessorView(
+                node_id=report.node_id, proc_id=proc.proc_id,
+                signature=signature, idle_signaled=proc.idle_signaled))
+    return views
+
+
+def _coordinator(object_path: bool):
+    """The coordinator, or (``object_path``) a bench-local per-object
+    oracle of it: views from :func:`_object_views` and a log recorded one
+    entry at a time."""
     from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
+    from repro.core.logs import ScheduleLogEntry
+    from repro.core.scheduler import ViewBatch
     from repro.sim.cluster import Cluster
     from repro.sim.core import CoreConfig
     from repro.sim.machine import MachineConfig
+
+    class ObjectPathCoordinator(ClusterCoordinator):
+        def _view_batch_from_reports(self, reports):
+            return ViewBatch.from_views(_object_views(self.predictor,
+                                                      reports))
+
+        def _record(self, schedule, now_s, *, pass_wall_s=None):
+            for a in schedule.assignments:
+                self.log.record_schedule(ScheduleLogEntry(
+                    time_s=now_s, node_id=a.node_id, proc_id=a.proc_id,
+                    freq_hz=a.freq_hz, eps_freq_hz=a.eps_freq_hz,
+                    voltage=a.voltage, power_w=a.power_w,
+                    predicted_loss=a.predicted_loss, predicted_ipc=None,
+                    power_limit_w=self.power_limit_w,
+                    infeasible=schedule.infeasible,
+                    pass_wall_s=pass_wall_s))
+
     cluster = Cluster.homogeneous(
         1,
         machine_config=MachineConfig(
             num_cores=1, core_config=CoreConfig(latency_jitter_sigma=0.0)),
         seed=1)
-    return ClusterCoordinator(
-        cluster, CoordinatorConfig(power_limit_w=None, columnar=columnar),
-        seed=2)
+    coordinator = ObjectPathCoordinator if object_path else ClusterCoordinator
+    return coordinator(cluster, CoordinatorConfig(power_limit_w=None),
+                       seed=2)
 
 
 class TestBenchClusterPass:
     """The coordinator's global-pass hot path (views -> schedule -> record)
-    at 64 nodes x 4 processors, columnar vs the per-object reference."""
+    at 64 nodes x 4 processors, columnar vs the per-object oracle."""
 
-    def _run(self, benchmark, columnar: bool):
+    def _run(self, benchmark, object_path: bool):
         from repro.core.logs import FvsstLog
-        coord = _coordinator(columnar)
+        coord = _coordinator(object_path)
         reports = _node_reports(64, 4)
 
         def one_pass():
             coord.log = FvsstLog()
-            if columnar:
-                views = coord._view_batch_from_reports(reports)
-            else:
-                views = coord._views_from_reports(reports)
+            views = coord._view_batch_from_reports(reports)
             schedule = coord.scheduler.schedule(views, None,
                                                 on_infeasible="floor")
             coord._record(schedule, 0.1)
@@ -407,10 +447,10 @@ class TestBenchClusterPass:
         assert len(schedule.assignments) == 256
 
     def test_bench_cluster_pass_64x4_columnar(self, benchmark):
-        self._run(benchmark, columnar=True)
+        self._run(benchmark, object_path=False)
 
     def test_bench_cluster_pass_64x4_object(self, benchmark):
-        self._run(benchmark, columnar=False)
+        self._run(benchmark, object_path=True)
 
 
 class TestBenchHierarchicalPass:
@@ -440,7 +480,7 @@ class TestBenchHierarchicalPass:
                 core_config=CoreConfig(latency_jitter_sigma=0.0)),
             seed=1)
         alloc = FleetAllocator(
-            cluster, CoordinatorConfig(power_limit_w=budget, columnar=True),
+            cluster, CoordinatorConfig(power_limit_w=budget),
             fleet=FleetConfig(shard_size=shard_size), seed=2)
         shard_reports = [
             _node_reports(shard_size, procs, seed=17 + i,

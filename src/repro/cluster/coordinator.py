@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import constants
-from ..core.logs import FvsstLog, ScheduleLogEntry
+from ..core.logs import FvsstLog
 from ..core.predictor import CounterPredictor, PredictorProtocol
 from ..core.scheduler import (
     FrequencyVoltageScheduler,
@@ -105,18 +105,12 @@ class CoordinatorConfig:
     command_retries: int = 2
     #: Degraded mode: how long to wait for a command ack before resending.
     retry_timeout_s: float = 0.005
-    #: Columnar control plane: signature columns straight from the reports
-    #: (one batched predictor evaluation per pass) and bulk array recording
-    #: into the log.  Outputs are byte-identical to the per-object path,
-    #: which is kept (``columnar=False``) as the reference for equivalence
-    #: and regression comparisons.
-    columnar: bool = True
     #: Opt-in signature-stability fast path: a pass whose signatures all
     #: lie within this relative tolerance of the batch that produced the
     #: last schedule — same processors, same idle flags, same limits —
     #: reuses that schedule without rescheduling or re-dispatching.  None
     #: (the default) disables the fast path, leaving every output
-    #: byte-identical.  Requires ``columnar``.
+    #: byte-identical.
     reschedule_tolerance: float | None = None
     #: SLO mode: a request-latency target (seconds at ``slo_percentile``).
     #: Each pass translates the bound serving traffic's per-node demand
@@ -159,10 +153,6 @@ class CoordinatorConfig:
         if self.reschedule_tolerance is not None:
             check_non_negative(self.reschedule_tolerance,
                                "reschedule_tolerance")
-            if not self.columnar:
-                raise ClusterError(
-                    "reschedule_tolerance requires the columnar pass"
-                )
         if self.slo_p99_target_s is not None:
             check_positive(self.slo_p99_target_s, "slo_p99_target_s")
         if not 0.0 < self.slo_percentile < 100.0:
@@ -419,52 +409,16 @@ class ClusterCoordinator:
             self._m_collect_delay.observe(worst_delay)
         return reports, worst_delay
 
-    def _views_from_reports(self, reports: list[NodeReport]
-                            ) -> list[ProcessorView]:
-        views: list[ProcessorView] = []
-        for report in reports:
-            for proc in sorted(report.procs, key=lambda p: p.proc_id):
-                if proc.interval_s <= 0.0:
-                    # A pass that fires before the first agent sample (the
-                    # t = 0 tick, or a T == t event-ordering tie) carries
-                    # an empty window: no usable signature, and nothing
-                    # the predictor should divide by.
-                    views.append(ProcessorView(
-                        node_id=report.node_id,
-                        proc_id=proc.proc_id,
-                        signature=None,
-                        idle_signaled=proc.idle_signaled,
-                    ))
-                    continue
-                sample = CounterSample(
-                    time_s=report.time_s,
-                    interval_s=proc.interval_s,
-                    instructions=proc.instructions,
-                    cycles=proc.cycles,
-                    n_l2=proc.n_l2,
-                    n_l3=proc.n_l3,
-                    n_mem=proc.n_mem,
-                    l1_stall_cycles=proc.l1_stall_cycles,
-                    halted_cycles=proc.halted_cycles,
-                )
-                views.append(ProcessorView(
-                    node_id=report.node_id,
-                    proc_id=proc.proc_id,
-                    signature=self.predictor.signature_from_sample(sample),
-                    idle_signaled=proc.idle_signaled,
-                ))
-        return views
-
     def _view_batch_from_reports(self, reports: list[NodeReport]
                                  ) -> ViewBatch:
-        """Columnar :meth:`_views_from_reports`: one extraction loop over
-        the reports, one batched predictor evaluation, no per-processor
-        sample/signature/view objects.  Row order and values match the
-        object path exactly."""
-        batch_eval = getattr(self.predictor, "signatures_from_arrays", None)
-        if batch_eval is None:
-            # Predictor without a batch path: fall back through objects.
-            return ViewBatch.from_views(self._views_from_reports(reports))
+        """The pass's views, in column form: one extraction loop over the
+        reports (nodes in report order, processors by id), one batched
+        predictor evaluation, no per-processor sample/signature/view
+        objects.
+
+        A predictor without the optional ``signatures_from_arrays`` is
+        evaluated row by row through ``signature_from_sample`` instead;
+        either way a row with an empty window carries no signature."""
         node_ids: list[int] = []
         procs: list[ProcReport] = []
         for report in reports:
@@ -475,18 +429,41 @@ class ClusterCoordinator:
         proc_ids = [p.proc_id for p in procs]
         idle = [p.idle_signaled for p in procs]
         interval = [p.interval_s for p in procs]
-        has_sig, core_cpi, mem_time = batch_eval(
-            [p.instructions for p in procs],
-            [p.cycles for p in procs],
-            [p.n_l2 for p in procs],
-            [p.n_l3 for p in procs],
-            [p.n_mem for p in procs],
-            [p.l1_stall_cycles for p in procs],
-            interval)
-        # An empty window (the t = 0 tick, or a T == t ordering tie) never
-        # reaches the predictor on the object path; enforce the same rule
-        # here for predictors that would accept it (AlphaPredictor ignores
-        # interval_s).
+        batch_eval = getattr(self.predictor, "signatures_from_arrays", None)
+        if batch_eval is not None:
+            has_sig, core_cpi, mem_time = batch_eval(
+                [p.instructions for p in procs],
+                [p.cycles for p in procs],
+                [p.n_l2 for p in procs],
+                [p.n_l3 for p in procs],
+                [p.n_mem for p in procs],
+                [p.l1_stall_cycles for p in procs],
+                interval)
+        else:
+            times = [r.time_s for r in reports for _ in r.procs]
+            sigs = [
+                None if p.interval_s <= 0.0
+                else self.predictor.signature_from_sample(CounterSample(
+                    time_s=t,
+                    interval_s=p.interval_s,
+                    instructions=p.instructions,
+                    cycles=p.cycles,
+                    n_l2=p.n_l2,
+                    n_l3=p.n_l3,
+                    n_mem=p.n_mem,
+                    l1_stall_cycles=p.l1_stall_cycles,
+                    halted_cycles=p.halted_cycles,
+                ))
+                for t, p in zip(times, procs)
+            ]
+            has_sig = np.array([s is not None for s in sigs], dtype=bool)
+            core_cpi = [1.0 if s is None else s.core_cpi for s in sigs]
+            mem_time = [0.0 if s is None else s.mem_time_per_instr_s
+                        for s in sigs]
+        # An empty window (the t = 0 tick, or a T == t ordering tie) has no
+        # usable signature, and nothing the predictor should divide by;
+        # enforce that for batched predictors that would accept it
+        # (AlphaPredictor ignores interval_s).
         empty = np.asarray(interval, dtype=float) <= 0.0
         if empty.any():
             has_sig = has_sig & ~empty
@@ -542,25 +519,15 @@ class ClusterCoordinator:
         reports, collect_delay = self._collect(now_s)
         floors = self._slo_floors(now_s)
         track = self.config.reschedule_tolerance is not None
-        if self.config.columnar:
-            views: ViewBatch | list[ProcessorView] = \
-                self._view_batch_from_reports(reports)
-            if track:
-                reused = self._try_reuse_schedule(views)
-                if reused is not None:
-                    return reused, collect_delay
-        else:
-            views = self._views_from_reports(reports)
-        if self.node_limits_w and isinstance(self.scheduler,
-                                             NestedBudgetScheduler):
-            schedule = self.scheduler.schedule_nested(
-                views, self.power_limit_w, self.node_limits_w,
-                min_freqs_hz=floors or None,
-                on_infeasible="floor")
-        else:
-            schedule = self.scheduler.schedule(views, self.power_limit_w,
-                                               min_freqs_hz=floors or None,
-                                               on_infeasible="floor")
+        views = self._view_batch_from_reports(reports)
+        if track:
+            reused = self._try_reuse_schedule(views)
+            if reused is not None:
+                return reused, collect_delay
+        schedule = self.scheduler.schedule(views, self.power_limit_w,
+                                           node_limits_w=self.node_limits_w,
+                                           min_freqs_hz=floors or None,
+                                           on_infeasible="floor")
         if track:
             self._last_sched_batch = views
             self._last_sched_limits = (self.power_limit_w,
@@ -657,7 +624,8 @@ class ClusterCoordinator:
         for agent in self.agents:
             node_id = agent.node.node_id
             if node_id in fresh:
-                node_views = self._node_views_from_report(fresh[node_id])
+                node_views = self._view_batch_from_reports(
+                    [fresh[node_id]]).views()
                 self._view_cache[node_id] = (now_s, node_views)
                 recovered = self.node_health[node_id] == "lost"
                 self._set_health(node_id, "recovered" if recovered
@@ -684,17 +652,6 @@ class ClusterCoordinator:
         decision_time = now_s + worst_delay
         self._dispatch(schedule, decision_time)
         return schedule, worst_delay
-
-    def _node_views_from_report(self, report: NodeReport
-                                ) -> list[ProcessorView]:
-        """One node's views, through the batched predictor when columnar.
-
-        The degraded pass mixes fresh and cached nodes, so it still works
-        in view objects; the batch path only replaces the per-proc scalar
-        predictor calls (values are bit-identical either way)."""
-        if self.config.columnar:
-            return self._view_batch_from_reports([report]).views()
-        return self._views_from_reports([report])
 
     def _set_health(self, node_id: int, state: str, now_s: float) -> None:
         previous = self.node_health[node_id]
@@ -790,15 +747,10 @@ class ClusterCoordinator:
         else:
             node_limits_live = {n: w for n, w in self.node_limits_w.items()
                                 if n not in lost}
-            if node_limits_live and isinstance(sched, NestedBudgetScheduler):
-                live = sched.schedule_nested(
-                    views, live_limit, node_limits_live,
-                    min_freqs_hz=floors_live or None,
-                    on_infeasible="floor")
-            else:
-                live = sched.schedule(views, live_limit,
-                                      min_freqs_hz=floors_live or None,
-                                      on_infeasible="floor")
+            live = sched.schedule(views, live_limit,
+                                  node_limits_w=node_limits_live,
+                                  min_freqs_hz=floors_live or None,
+                                  on_infeasible="floor")
         assignments = tuple(sorted(
             live.assignments + tuple(floor_assignments),
             key=lambda a: (a.node_id, a.proc_id)))
@@ -919,34 +871,16 @@ class ClusterCoordinator:
 
     def _record(self, schedule: Schedule, now_s: float, *,
                 pass_wall_s: float | None = None) -> None:
-        assignments = schedule.assignments
-        if self.config.columnar:
-            # Assignments are NamedTuples: one zip transposes every field.
-            (node_ids, proc_ids, freqs_hz, voltages, powers_w,
-             predicted_losses, eps_freqs_hz) = zip(*assignments)
-            self.log.record_schedule_pass(
-                now_s, node_ids, proc_ids, freqs_hz, eps_freqs_hz,
-                voltages, powers_w, predicted_losses,
-                power_limit_w=self.power_limit_w,
-                infeasible=schedule.infeasible,
-                pass_wall_s=pass_wall_s,
-            )
-            return
-        for a in assignments:
-            self.log.record_schedule(ScheduleLogEntry(
-                time_s=now_s,
-                node_id=a.node_id,
-                proc_id=a.proc_id,
-                freq_hz=a.freq_hz,
-                eps_freq_hz=a.eps_freq_hz,
-                voltage=a.voltage,
-                power_w=a.power_w,
-                predicted_loss=a.predicted_loss,
-                predicted_ipc=None,
-                power_limit_w=self.power_limit_w,
-                infeasible=schedule.infeasible,
-                pass_wall_s=pass_wall_s,
-            ))
+        # Assignments are NamedTuples: one zip transposes every field.
+        (node_ids, proc_ids, freqs_hz, voltages, powers_w,
+         predicted_losses, eps_freqs_hz) = zip(*schedule.assignments)
+        self.log.record_schedule_pass(
+            now_s, node_ids, proc_ids, freqs_hz, eps_freqs_hz,
+            voltages, powers_w, predicted_losses,
+            power_limit_w=self.power_limit_w,
+            infeasible=schedule.infeasible,
+            pass_wall_s=pass_wall_s,
+        )
 
     # -- triggers -------------------------------------------------------------------------
 
@@ -962,10 +896,6 @@ class ClusterCoordinator:
                        now_s: float) -> None:
         """Install (or lift, with ``None``) a per-node limit and run an
         immediate pass — the node-level PSU failure trigger."""
-        if not isinstance(self.scheduler, NestedBudgetScheduler):
-            raise ClusterError(
-                "per-node limits need a NestedBudgetScheduler"
-            )
         if limit_w is None:
             self.node_limits_w.pop(node_id, None)
         else:

@@ -2,41 +2,23 @@
 
 The paper's Figure 3 treats the power limit as global.  Real clusters also
 carry *local* limits — a node whose own supply degrades must get under its
-node budget regardless of the cluster-wide picture.  The nested scheduler
-runs Figure 3's step 2 twice:
-
-1. **per node**: for each node with a local limit, greedily reduce that
-   node's processors until the node fits (same smallest-loss-first metric,
-   scoped to the node);
-2. **globally**: the unchanged global pass over all processors.
-
-Per-node passes never *raise* frequencies, so a schedule satisfying every
-node limit before the global pass still satisfies them after it (the
-global pass only lowers further) — the invariant the property tests pin.
-
-The whole pass runs in rung-index space off one ``(P x F)`` loss matrix
-and one power-ladder matrix: per-node passes are row slices of those
-matrices fed to the same heap reduction the global pass uses.  Because
-the matrices are elementwise over rows, a slice is bit-identical to
-recomputing the matrix over the sub-views, so the schedule matches the
-per-node-rebuild formulation exactly.
+node budget regardless of the cluster-wide picture.  The pass itself is
+:meth:`FrequencyVoltageScheduler.schedule` with ``node_limits_w`` (see its
+docstring: per-node step-2 passes, then the global one, off one shared
+loss matrix); this class keeps the nested-budget entry point and the
+per-node power readout.
 """
 
 from __future__ import annotations
 
 from typing import Literal, Mapping, Sequence
 
-import numpy as np
-
 from ..core.scheduler import (
     FrequencyVoltageScheduler,
     ProcessorView,
     Schedule,
     ViewBatch,
-    _view_columns,
 )
-from ..errors import SchedulingError
-from ..units import check_positive
 
 __all__ = ["NestedBudgetScheduler"]
 
@@ -54,86 +36,12 @@ class NestedBudgetScheduler(FrequencyVoltageScheduler):
         min_freqs_hz: Mapping[int, float] | None = None,
         on_infeasible: Literal["floor", "raise"] = "floor",
     ) -> Schedule:
-        """Run step 1, the per-node passes, the global pass, and step 3.
-
-        ``min_freqs_hz`` carries per-node SLO frequency floors, with the
-        same semantics as :meth:`FrequencyVoltageScheduler.schedule`: both
-        the per-node and the global step-2 passes respect them, so a node
-        limit below its own floor power comes back ``infeasible`` with the
-        floor standing.
-        """
-        n = len(views)
-        if not n:
-            raise SchedulingError("no processors to schedule")
-        nodes_list, procs_list, idle = _view_columns(views)
-        if len(set(zip(nodes_list, procs_list))) != n:
-            raise SchedulingError("duplicate (node, proc) in views")
-        node_limits = dict(node_limits_w or {})
-        for node_id, limit in node_limits.items():
-            check_positive(limit, f"node_limits_w[{node_id}]")
-        cap_idx: int | None = None
-        if max_freq_hz is not None:
-            cap_idx = self.table.index_of(self.table.quantize_down(max_freq_hz))
-        floor_idx = self._floor_indices(nodes_list, min_freqs_hz)
-
-        # Step 1 (+ optional ceiling and floors), in rung-index space.
-        losses = self._loss_matrix(views)
-        idx = self._step1_indices(views, losses)
-        idx[idle] = 0
-        eps_idx = idx.copy()
-        if cap_idx is not None:
-            np.minimum(idx, cap_idx, out=idx)
-        if floor_idx is not None:
-            np.maximum(idx, floor_idx, out=idx)
-
-        infeasible = False
-        reduction_steps = 0
-        # Idle processors cost nothing to slow down (step-2 metric only).
-        step2_losses = np.where(idle[:, None], 0.0, losses) \
-            if idle.any() else losses
-        ladders = self._power_ladders(views)
-
-        # Step 2a: per-node passes over row slices of the shared matrices.
-        if node_limits:
-            nodes_arr = np.asarray(nodes_list)
-            for node_id, limit in sorted(node_limits.items()):
-                rows = np.flatnonzero(nodes_arr == node_id)
-                if rows.size == 0:
-                    raise SchedulingError(
-                        f"node limit for unknown node {node_id}"
-                    )
-                row_list = rows.tolist()
-                sub_idx = idx[rows]
-                node_infeasible, node_steps, _ = self._reduce_indices(
-                    [nodes_list[i] for i in row_list],
-                    [procs_list[i] for i in row_list],
-                    sub_idx, step2_losses[rows], ladders[rows], limit,
-                    on_infeasible,
-                    floor_idx=None if floor_idx is None else floor_idx[rows])
-                idx[rows] = sub_idx
-                infeasible = infeasible or node_infeasible
-                reduction_steps += node_steps
-
-        # Step 2b: the global pass.
-        if global_limit_w is not None:
-            check_positive(global_limit_w, "global_limit_w")
-            global_infeasible, global_steps, _ = self._reduce_indices(
-                nodes_list, procs_list, idx, step2_losses, ladders,
-                global_limit_w, on_infeasible, floor_idx=floor_idx)
-            infeasible = infeasible or global_infeasible
-            reduction_steps += global_steps
-
-        # Step 3 + assembly, shared with the base pass.
-        assignments, total = self._assemble_assignments(
-            nodes_list, procs_list, idx, eps_idx, losses, idle)
-        return Schedule(
-            assignments=assignments,
-            total_power_w=total,
-            power_limit_w=global_limit_w,
-            epsilon=self.epsilon,
-            infeasible=infeasible,
-            reduction_steps=reduction_steps,
-        )
+        """:meth:`schedule` with the node limits as a positional argument."""
+        return self.schedule(views, global_limit_w,
+                             node_limits_w=node_limits_w,
+                             max_freq_hz=max_freq_hz,
+                             min_freqs_hz=min_freqs_hz,
+                             on_infeasible=on_infeasible)
 
     def node_power_w(self, schedule: Schedule, node_id: int) -> float:
         """Scheduled power of one node."""

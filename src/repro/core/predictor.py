@@ -57,8 +57,10 @@ class PredictorProtocol(Protocol):
     """What the daemon and scheduler require of a predictor.
 
     Predictors may additionally offer the optional batched entry point
-    ``signatures_from_arrays`` (see :class:`CounterPredictor`); callers
-    feature-detect it with ``hasattr`` and fall back to per-sample calls.
+    ``signatures_from_arrays`` (see :class:`CounterPredictor`).  The
+    cluster coordinator feature-detects it; without it, the coordinator
+    fills the same :class:`~repro.core.scheduler.ViewBatch` columns with
+    one ``signature_from_sample`` call per processor.
     """
 
     def signature_from_sample(self, sample: CounterSample) -> WorkloadSignature | None:

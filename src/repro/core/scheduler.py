@@ -76,11 +76,12 @@ class ViewBatch:
 
     The scheduler's vectorised pass never needs the per-processor objects —
     only the signature columns, the idle mask, and the (node, proc) keys.
-    A ``ViewBatch`` carries exactly those as numpy arrays, so a producer
-    that already has columns (the cluster coordinator's batched predictor
-    path) can skip building N·P ``ProcessorView``/``WorkloadSignature``
-    objects per pass, and the scheduler can skip re-extracting arrays from
-    them.
+    A ``ViewBatch`` carries exactly those as numpy arrays, and it is the
+    one form :meth:`FrequencyVoltageScheduler.schedule` works in: a plain
+    view sequence is converted once at entry (:meth:`from_views`), while a
+    producer that already has columns (the cluster coordinator, which
+    builds one batch per pass from its nodes' reports) skips building N·P
+    ``ProcessorView``/``WorkloadSignature`` objects altogether.
 
     Rows without a usable signature (``has_signature`` False) must hold the
     neutral placeholder values ``core_cpi = 1.0`` and
@@ -89,9 +90,8 @@ class ViewBatch:
 
     The batch also quacks like ``Sequence[ProcessorView]``: iteration and
     indexing lazily materialise (and cache) the equivalent view objects, so
-    pointwise fallback paths (subclasses overriding ``predicted_loss``,
-    ``epsilon_constrained`` or ``power_for``) and existing callers keep
-    working unchanged, just at object-construction cost.
+    pointwise subclass hooks (``predicted_loss``, ``epsilon_constrained``,
+    ``power_for``) iterate it as a view list, at object-construction cost.
     """
 
     __slots__ = ("node_ids", "proc_ids", "has_signature", "core_cpi",
@@ -174,23 +174,6 @@ class ViewBatch:
         return (f"ViewBatch({len(self)} procs, "
                 f"{int(self.has_signature.sum())} with signatures, "
                 f"{int(self.idle_signaled.sum())} idle)")
-
-
-def _view_columns(views: "Sequence[ProcessorView] | ViewBatch"
-                  ) -> tuple[list[int], list[int], np.ndarray]:
-    """``(node_ids, proc_ids, idle mask)`` of a view population.
-
-    The id lists come out as plain Python values (heap keys and assignment
-    fields want them scalar); the idle mask as a bool array.  A
-    :class:`ViewBatch` hands its columns over directly.
-    """
-    if isinstance(views, ViewBatch):
-        return (views.node_ids.tolist(), views.proc_ids.tolist(),
-                views.idle_signaled)
-    n = len(views)
-    return ([v.node_id for v in views], [v.proc_id for v in views],
-            np.fromiter((v.idle_signaled for v in views), dtype=bool,
-                        count=n))
 
 
 class ProcessorAssignment(NamedTuple):
@@ -330,7 +313,7 @@ class FrequencyVoltageScheduler:
 
     # -- vectorised evaluation -----------------------------------------------------
 
-    def _loss_matrix(self, views: Sequence[ProcessorView]) -> np.ndarray:
+    def _loss_matrix(self, views: ViewBatch) -> np.ndarray:
         """Predicted loss vs ``f_max`` for every (processor, rung) pair.
 
         Row ``i`` holds :meth:`predicted_loss` of ``views[i]`` at every
@@ -348,19 +331,9 @@ class FrequencyVoltageScheduler:
                 [self.predicted_loss(v.signature, f) for f in self.table.freqs_hz]
                 for v in views
             ])
-        if isinstance(views, ViewBatch):
-            # Columns arrive ready-made; no per-view extraction at all.
-            has_sig = views.has_signature
-            c0 = views.core_cpi
-            m = views.mem_time_per_instr_s
-        else:
-            n = len(views)
-            has_sig = np.fromiter((v.signature is not None for v in views),
-                                  dtype=bool, count=n)
-            c0 = np.array([v.signature.core_cpi if v.signature is not None
-                           else 1.0 for v in views])
-            m = np.array([v.signature.mem_time_per_instr_s
-                          if v.signature is not None else 0.0 for v in views])
+        has_sig = views.has_signature
+        c0 = views.core_cpi
+        m = views.mem_time_per_instr_s
         ipc = 1.0 / (c0[:, None] + m[:, None] * freqs[None, :])
         perf = ipc * freqs[None, :]
         ref = perf[:, -1:]
@@ -409,10 +382,23 @@ class FrequencyVoltageScheduler:
 
     def schedule(self, views: "Sequence[ProcessorView] | ViewBatch",
                  power_limit_w: float | None = None, *,
+                 node_limits_w: Mapping[int, float] | None = None,
                  max_freq_hz: float | None = None,
                  min_freqs_hz: Mapping[int, float] | None = None,
                  on_infeasible: Literal["floor", "raise"] = "floor") -> Schedule:
         """Run steps 1–3 and return the complete decision.
+
+        ``node_limits_w`` maps node ids to *local* power limits nested
+        inside the global one — a node whose own supply degrades must get
+        under its node budget regardless of the cluster-wide picture.
+        Step 2 then runs twice: first per node, in ascending node-id
+        order, greedily reducing that node's processors until the node
+        fits (the same smallest-loss-first metric, scoped to the node's
+        rows of the shared loss and power-ladder matrices); then the
+        global pass over all processors.  Step 2 only ever lowers
+        frequencies, so the global pass cannot break a node limit the
+        per-node pass met.  A limit naming a node absent from ``views`` is
+        an error.
 
         ``max_freq_hz`` is an optional per-processor frequency ceiling —
         the mechanism a *thermal* constraint needs, since an aggregate
@@ -426,21 +412,32 @@ class FrequencyVoltageScheduler:
         requests must not drop below the frequency that keeps its tail
         latency under target, no matter how deep the power budget cuts.
         Floors are quantised up to the ladder, win conflicts with the
-        idle pin and the ceiling, and bound step 2 from below; a budget
-        unreachable without breaking a floor is reported ``infeasible``
-        (the floor schedule stands).  Nodes absent from the map have no
-        floor; map entries for nodes absent from ``views`` are ignored
-        (a degraded pass schedules live nodes only).
+        idle pin and the ceiling, and bound both step-2 passes from below;
+        a budget (global or per node) unreachable without breaking a floor
+        is reported ``infeasible`` (the floor schedule stands).  Nodes
+        absent from the map have no floor; map entries for nodes absent
+        from ``views`` are ignored (a degraded pass schedules live nodes
+        only).
+
+        A plain sequence of views is converted to a :class:`ViewBatch`
+        once, here; the pass itself only reads columns.
         """
+        if not isinstance(views, ViewBatch):
+            views = ViewBatch.from_views(views)
         n = len(views)
         if not n:
             raise SchedulingError("no processors to schedule")
-        nodes_list, procs_list, idle = _view_columns(views)
+        nodes_list = views.node_ids.tolist()
+        procs_list = views.proc_ids.tolist()
+        idle = views.idle_signaled
         keys = set(zip(nodes_list, procs_list))
         if len(keys) != n:
             raise SchedulingError("duplicate (node, proc) in views")
         if power_limit_w is not None:
             check_positive(power_limit_w, "power_limit_w")
+        node_limits = dict(node_limits_w or {})
+        for node_id, limit in node_limits.items():
+            check_positive(limit, f"node_limits_w[{node_id}]")
         cap_idx: int | None = None
         if max_freq_hz is not None:
             check_positive(max_freq_hz, "max_freq_hz")
@@ -472,14 +469,43 @@ class FrequencyVoltageScheduler:
         # Step 2: heap-based greedy power reduction.
         infeasible = False
         steps = loss_evals = 0
-        if power_limit_w is not None:
+        if node_limits or power_limit_w is not None:
             # Idle processors cost nothing to slow down.
             step2_losses = np.where(idle[:, None], 0.0, losses) \
                 if idle.any() else losses
-            infeasible, steps, loss_evals = self._reduce_indices(
-                nodes_list, procs_list, idx, step2_losses,
-                self._power_ladders(views), power_limit_w, on_infeasible,
-                floor_idx=floor_idx)
+            ladders = self._power_ladders(views)
+        if node_limits:
+            # Step 2a: per-node passes over row slices of the shared
+            # matrices (elementwise over rows, so a slice is bit-identical
+            # to recomputing the matrices over the node's views).
+            for node_id, limit in sorted(node_limits.items()):
+                rows = np.flatnonzero(views.node_ids == node_id)
+                if rows.size == 0:
+                    raise SchedulingError(
+                        f"node limit for unknown node {node_id}"
+                    )
+                row_list = rows.tolist()
+                sub_idx = idx[rows]
+                node_infeasible, node_steps, node_evals = \
+                    self._reduce_indices(
+                        [nodes_list[i] for i in row_list],
+                        [procs_list[i] for i in row_list],
+                        sub_idx, step2_losses[rows], ladders[rows], limit,
+                        on_infeasible,
+                        floor_idx=None if floor_idx is None
+                        else floor_idx[rows])
+                idx[rows] = sub_idx
+                infeasible = infeasible or node_infeasible
+                steps += node_steps
+                loss_evals += node_evals
+        if power_limit_w is not None:
+            global_infeasible, global_steps, global_evals = \
+                self._reduce_indices(
+                    nodes_list, procs_list, idx, step2_losses, ladders,
+                    power_limit_w, on_infeasible, floor_idx=floor_idx)
+            infeasible = infeasible or global_infeasible
+            steps += global_steps
+            loss_evals += global_evals
 
         # Step 3: voltages, and assembly.
         assignments, total = self._assemble_assignments(
@@ -641,29 +667,6 @@ class FrequencyVoltageScheduler:
         finally:
             idx[:] = idx_list
         return False, steps, loss_evals
-
-    def _reduce_to_budget(self, views: "Sequence[ProcessorView] | ViewBatch",
-                          freqs: list[float], limit_w: float,
-                          on_infeasible: Literal["floor", "raise"]
-                          ) -> tuple[bool, int, int]:
-        """Step 2 in place on ``freqs`` (explicit frequency-list form).
-
-        A wrapper over :meth:`_reduce_indices` for callers that carry
-        frequency lists rather than rung indices — the nested-budget
-        scheduler's scoped per-node passes.  Returns
-        ``(infeasible, reduction_steps, loss_evaluations)``.
-        """
-        nodes_list, procs_list, idle = _view_columns(views)
-        idx = np.array([self.table.index_of(f) for f in freqs])
-        losses = self._loss_matrix(views)
-        if idle.any():
-            losses = np.where(idle[:, None], 0.0, losses)
-        result = self._reduce_indices(nodes_list, procs_list, idx, losses,
-                                      self._power_ladders(views), limit_w,
-                                      on_infeasible)
-        freqs_arr = self.table.freqs_array()
-        freqs[:] = [float(freqs_arr[int(k)]) for k in idx]
-        return result
 
 
 #: Section 5's name for the same algorithm ("it is possible to implement in

@@ -1,6 +1,8 @@
 """The columnar control plane: batched predictors, ViewBatch, the
 columnar log, the reschedule fast path — and the equivalence of it all
-with the per-object reference path (``CoordinatorConfig(columnar=False)``).
+with the per-object reference pass (:class:`ObjectPathCoordinator`, which
+builds one sample, signature and view object per processor and records
+the log entry by entry).
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from repro.core.scheduler import (
     Schedule,
     ViewBatch,
 )
-from repro.errors import ClusterError, SchedulingError
+from repro.errors import SchedulingError
 from repro.model.ipc import WorkloadSignature
 from repro.model.latency import POWER4_LATENCIES
 from repro.power.table import POWER4_TABLE
@@ -167,6 +169,23 @@ class TestViewBatch:
         assert sched.schedule(views, limit) == \
             sched.schedule(ViewBatch.from_views(views), limit)
 
+    def test_schedule_nested_is_schedule_with_node_limits(self):
+        rng = np.random.default_rng(8)
+        sched = NestedBudgetScheduler(POWER4_TABLE)
+        for seed in range(20):
+            views = _views(int(rng.integers(2, 33)), seed=seed)
+            nodes = sorted({v.node_id for v in views})
+            node_limits = {n: float(rng.uniform(15.0, 120.0))
+                           for n in nodes if rng.uniform() < 0.5}
+            limit = None if rng.uniform() < 0.3 else \
+                float(rng.uniform(20.0, 60.0 * len(views)))
+            floors = None if rng.uniform() < 0.5 else \
+                {nodes[0]: POWER4_TABLE.freqs_hz[2]}
+            assert sched.schedule_nested(
+                views, limit, node_limits, min_freqs_hz=floors) == \
+                sched.schedule(views, limit, node_limits_w=node_limits,
+                               min_freqs_hz=floors)
+
     def test_schedule_nested_identical_to_view_list(self):
         views = _views(32, seed=5)
         sched = NestedBudgetScheduler(POWER4_TABLE)
@@ -192,6 +211,71 @@ class TestViewBatch:
             sched.schedule(ViewBatch.from_views(views))
 
 
+def reference_views(predictor, reports):
+    """The per-object reference for the coordinator's view batch: one
+    ``CounterSample``, one ``signature_from_sample`` call and one
+    ``ProcessorView`` per processor."""
+    views: list[ProcessorView] = []
+    for report in reports:
+        for proc in sorted(report.procs, key=lambda p: p.proc_id):
+            if proc.interval_s <= 0.0:
+                # A pass that fires before the first agent sample (the
+                # t = 0 tick, or a T == t event-ordering tie) carries
+                # an empty window: no usable signature, and nothing
+                # the predictor should divide by.
+                views.append(ProcessorView(
+                    node_id=report.node_id,
+                    proc_id=proc.proc_id,
+                    signature=None,
+                    idle_signaled=proc.idle_signaled,
+                ))
+                continue
+            sample = CounterSample(
+                time_s=report.time_s,
+                interval_s=proc.interval_s,
+                instructions=proc.instructions,
+                cycles=proc.cycles,
+                n_l2=proc.n_l2,
+                n_l3=proc.n_l3,
+                n_mem=proc.n_mem,
+                l1_stall_cycles=proc.l1_stall_cycles,
+                halted_cycles=proc.halted_cycles,
+            )
+            views.append(ProcessorView(
+                node_id=report.node_id,
+                proc_id=proc.proc_id,
+                signature=predictor.signature_from_sample(sample),
+                idle_signaled=proc.idle_signaled,
+            ))
+    return views
+
+
+class ObjectPathCoordinator(ClusterCoordinator):
+    """The per-object reference pass: views from :func:`reference_views`
+    (the scheduler converts them to columns, as it does any view list),
+    and the log recorded one :class:`ScheduleLogEntry` at a time."""
+
+    def _view_batch_from_reports(self, reports):
+        return ViewBatch.from_views(reference_views(self.predictor, reports))
+
+    def _record(self, schedule, now_s, *, pass_wall_s=None):
+        for a in schedule.assignments:
+            self.log.record_schedule(ScheduleLogEntry(
+                time_s=now_s,
+                node_id=a.node_id,
+                proc_id=a.proc_id,
+                freq_hz=a.freq_hz,
+                eps_freq_hz=a.eps_freq_hz,
+                voltage=a.voltage,
+                power_w=a.power_w,
+                predicted_loss=a.predicted_loss,
+                predicted_ipc=None,
+                power_limit_w=self.power_limit_w,
+                infeasible=schedule.infeasible,
+                pass_wall_s=pass_wall_s,
+            ))
+
+
 def _comparable_entries(log):
     """Schedule entries with the wall-clock field (the one legitimately
     nondeterministic value) zeroed."""
@@ -209,21 +293,20 @@ def _comparable_metrics(telemetry):
 
 def _run_pair(config_kwargs, *, scenario=None, seconds=0.55, limit_w=330.0,
               node_limit=(1, 80.0), workloads=True):
-    """Run one columnar and one object-path coordinator over identical
+    """Run the coordinator and the object-path oracle over identical
     clusters (same seeds, same faults, same triggers); return both."""
     out = []
-    for columnar in (True, False):
+    for coordinator in (ClusterCoordinator, ObjectPathCoordinator):
         cluster = quiet_cluster(nodes=3, procs=2, seed=11)
         if workloads:
             cluster.assign_all(tiered_cluster_assignment(
                 3, 2, web_nodes=1, app_nodes=1))
         telemetry = Telemetry()
         faults = fault_scenario(scenario, seed=13) if scenario else None
-        coord = ClusterCoordinator(
+        coord = coordinator(
             cluster,
             CoordinatorConfig(power_limit_w=limit_w,
-                              counter_noise_sigma=0.0,
-                              columnar=columnar, **config_kwargs),
+                              counter_noise_sigma=0.0, **config_kwargs),
             telemetry=telemetry, faults=faults, seed=21)
         sim = Simulation(cluster.machines)
         coord.attach(sim)
@@ -239,8 +322,8 @@ def _run_pair(config_kwargs, *, scenario=None, seconds=0.55, limit_w=330.0,
 
 class TestCoordinatorColumnarEquivalence:
     """The acceptance gate: schedules, logs, and telemetry counters are
-    bit-identical between the columnar and object paths, fault-free and
-    degraded."""
+    bit-identical between the coordinator and the object-path oracle,
+    fault-free and degraded."""
 
     @pytest.mark.parametrize("scenario", [None, "lossy", "crash"])
     def test_paths_bit_identical(self, scenario):
@@ -259,15 +342,14 @@ class TestCoordinatorColumnarEquivalence:
 
     def test_alpha_predictor_paths_identical(self):
         # AlphaPredictor ignores interval_s, so the coordinator must mask
-        # empty windows itself on the batch path (the t = 0 pass would
-        # otherwise get signatures the object path never builds).
+        # empty windows itself (the t = 0 pass would otherwise get
+        # signatures the object path never builds).
         results = []
-        for columnar in (True, False):
+        for coordinator in (ClusterCoordinator, ObjectPathCoordinator):
             cluster = quiet_cluster(nodes=2, procs=2, seed=3)
-            coord = ClusterCoordinator(
+            coord = coordinator(
                 cluster,
-                CoordinatorConfig(counter_noise_sigma=0.0,
-                                  columnar=columnar),
+                CoordinatorConfig(counter_noise_sigma=0.0),
                 predictor=AlphaPredictor(POWER4_LATENCIES, alpha=0.8),
                 seed=9)
             sim = Simulation(cluster.machines)
@@ -285,14 +367,22 @@ class TestCoordinatorColumnarEquivalence:
             def signature_from_sample(self, sample):
                 return self.inner.signature_from_sample(sample)
 
-        cluster = quiet_cluster(nodes=2, procs=2, seed=3)
-        coord = ClusterCoordinator(
-            cluster, CoordinatorConfig(counter_noise_sigma=0.0),
-            predictor=ScalarOnly(), seed=9)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.25)
-        assert coord.last_schedule is not None
+        # Evaluated per sample into the same batch: identical to the
+        # object-path oracle, the empty t = 0 windows included.
+        results = []
+        for coordinator in (ClusterCoordinator, ObjectPathCoordinator):
+            cluster = quiet_cluster(nodes=2, procs=2, seed=3)
+            coord = coordinator(
+                cluster, CoordinatorConfig(counter_noise_sigma=0.0),
+                predictor=ScalarOnly(), seed=9)
+            sim = Simulation(cluster.machines)
+            coord.attach(sim)
+            coord.run_global_pass(0.0)
+            sim.run_for(0.25)
+            assert coord.last_schedule is not None
+            results.append((coord.last_schedule,
+                            _comparable_entries(coord.log)))
+        assert results[0] == results[1]
 
 
 class TestPowerSeriesDedup:
@@ -348,8 +438,6 @@ class TestRescheduleTolerance:
     def test_validation(self):
         with pytest.raises(Exception):
             CoordinatorConfig(reschedule_tolerance=-0.1)
-        with pytest.raises(ClusterError):
-            CoordinatorConfig(reschedule_tolerance=0.1, columnar=False)
 
     def test_default_off(self):
         cluster = quiet_cluster(nodes=2, procs=2, seed=5)
@@ -479,11 +567,11 @@ def synthetic_reports(nodes, procs, seed=0):
 def _pass_core(coord, reports, now_s):
     """The pass hot path under measurement: views from reports, the
     schedule, and the log record (collect and dispatch are identical
-    between the two paths and excluded)."""
-    if coord.config.columnar:
-        views = coord._view_batch_from_reports(reports)
+    between the coordinator and the oracle and excluded)."""
+    if isinstance(coord, ObjectPathCoordinator):
+        views = reference_views(coord.predictor, reports)
     else:
-        views = coord._views_from_reports(reports)
+        views = coord._view_batch_from_reports(reports)
     schedule = coord.scheduler.schedule(views, coord.power_limit_w,
                                         on_infeasible="floor")
     coord._record(schedule, now_s)
@@ -491,7 +579,8 @@ def _pass_core(coord, reports, now_s):
 
 
 class TestClusterPassSpeedup:
-    """Acceptance: the columnar pass is >= 5x the object path at 64x4."""
+    """Acceptance: the columnar pass is >= 5x the object-path oracle at
+    64x4."""
 
     def test_bench_cluster_pass_64_nodes(self):
         # No global limit: step 2's heap reduction is identical shared
@@ -501,11 +590,10 @@ class TestClusterPassSpeedup:
         reports = synthetic_reports(64, 4, seed=17)
         cluster = quiet_cluster(nodes=1, procs=1, seed=1)
         coords = {
-            columnar: ClusterCoordinator(
-                cluster,
-                CoordinatorConfig(power_limit_w=None, columnar=columnar),
-                seed=2)
-            for columnar in (True, False)
+            columnar: coordinator(
+                cluster, CoordinatorConfig(power_limit_w=None), seed=2)
+            for columnar, coordinator in (
+                (True, ClusterCoordinator), (False, ObjectPathCoordinator))
         }
 
         # Same decision either way (the equivalence half of the gate).
@@ -515,20 +603,22 @@ class TestClusterPassSpeedup:
         assert _comparable_entries(coords[True].log) == \
             _comparable_entries(coords[False].log)
 
-        def best_of(coord, repeats=7, inner=3):
-            best = float("inf")
-            for _ in range(repeats):
-                coord.log = FvsstLog()   # keep record cost flat
-                t0 = time.perf_counter()
-                for _ in range(inner):
-                    _pass_core(coord, reports, 0.1)
-                best = min(best, (time.perf_counter() - t0) / inner)
-            return best
+        def one_round(coord, inner=3):
+            coord.log = FvsstLog()   # keep record cost flat
+            t0 = time.perf_counter()
+            for _ in range(inner):
+                _pass_core(coord, reports, 0.1)
+            return (time.perf_counter() - t0) / inner
 
-        best_of(coords[True], repeats=2)   # warm caches on both paths
-        best_of(coords[False], repeats=2)
-        columnar_s = best_of(coords[True])
-        object_s = best_of(coords[False])
+        for coord in coords.values():   # warm caches on both paths
+            one_round(coord)
+            one_round(coord)
+        # Best of 7 each, the two paths alternating round by round so a
+        # drift in host speed cannot land on one side only.
+        columnar_s = object_s = float("inf")
+        for _ in range(7):
+            columnar_s = min(columnar_s, one_round(coords[True]))
+            object_s = min(object_s, one_round(coords[False]))
         speedup = object_s / columnar_s
         assert speedup >= 5.0, (
             f"columnar pass {columnar_s * 1e6:.0f} us vs object "

@@ -313,8 +313,9 @@ class TestZeroIntervalReports:
                        n_l3=0, n_mem=0, l1_stall_cycles=0, halted_cycles=0,
                        interval_s=0.0, idle_signaled=False),
         ))
-        views = coord._views_from_reports([report])
-        assert views[0].signature is None
+        batch = coord._view_batch_from_reports([report])
+        assert not batch.has_signature[0]
+        assert batch[0].signature is None
 
 
 class TestCoordinatorAgentIndex:

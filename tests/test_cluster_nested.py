@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster.coordinator import ClusterCoordinator, CoordinatorConfig
 from repro.cluster.nested import NestedBudgetScheduler
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
-from repro.errors import ClusterError, SchedulingError
+from repro.errors import ReproError, SchedulingError, UnitError
 from repro.experiments import run_experiment
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE
@@ -15,6 +15,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.core import CoreConfig
 from repro.sim.driver import Simulation
 from repro.sim.machine import MachineConfig
+from repro.telemetry import Telemetry
 from repro.units import ghz
 from repro.workloads.tiers import tiered_cluster_assignment
 
@@ -55,6 +56,35 @@ class TestNestedScheduler:
         v = views_for({0: [1.0]})
         with pytest.raises(SchedulingError):
             sched.schedule_nested(v, None, {5: 100.0})
+
+    def test_nested_pass_counts_in_scheduler_telemetry(self):
+        tel = Telemetry()
+        sched = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04,
+                                      telemetry=tel)
+        v = views_for({0: [10.0, 10.0], 1: [10.0, 10.0]})
+        flat = sched.schedule(v, 300.0)
+        nested = sched.schedule_nested(v, 300.0, {0: 150.0})
+        assert flat.reduction_steps > 0 and nested.reduction_steps > 0
+        metrics = tel.snapshot()["metrics"]
+
+        def value(name):
+            return metrics[name]["series"][0]["value"]
+
+        assert value("scheduler_passes_total") == 2
+        assert value("scheduler_step2_iterations_total") == \
+            flat.reduction_steps + nested.reduction_steps
+
+    @pytest.mark.parametrize("ceiling", [1e6, -5.0])
+    def test_nested_pass_validates_the_ceiling(self, ceiling):
+        # A 1 MHz ceiling (below the ladder floor) or a negative one: the
+        # nested pass rejects it with the same error as the flat pass.
+        sched = NestedBudgetScheduler(POWER4_TABLE)
+        v = views_for({0: [1.0, 1.0], 1: [1.0]})
+        with pytest.raises(ReproError) as flat:
+            sched.schedule(v, 300.0, max_freq_hz=ceiling)
+        with pytest.raises(type(flat.value)):
+            sched.schedule_nested(v, 300.0, {0: 150.0}, max_freq_hz=ceiling)
+        assert isinstance(flat.value, (SchedulingError, UnitError))
 
     def test_no_limits_matches_plain_schedule(self):
         nested = NestedBudgetScheduler(POWER4_TABLE, epsilon=0.04)
@@ -191,12 +221,19 @@ class TestCoordinatorNodeLimits:
         sim.run_for(0.3)
         assert cluster.node(0).cpu_power_w() > 200.0
 
-    def test_plain_scheduler_rejects_node_limits(self):
+    def test_plain_scheduler_honours_node_limits(self):
+        # Node limits are an argument of the one Figure 3 pass, so any
+        # scheduler carries them, not just NestedBudgetScheduler.
         cluster, coordinator, sim = self._cluster(seed=9)
         coordinator.scheduler = FrequencyVoltageScheduler(
             cluster.nodes[0].machine.table)
-        with pytest.raises(ClusterError):
-            coordinator.set_node_limit(0, 100.0, sim.now_s)
+        sim.run_for(0.5)
+        coordinator.set_node_limit(0, 120.0, sim.now_s)
+        assert sum(a.power_w for a in coordinator.last_schedule.assignments
+                   if a.node_id == 0) <= 120.0
+        sim.run_for(0.5)
+        assert cluster.node(0).cpu_power_w() <= 120.0
+        assert cluster.node(1).cpu_power_w() > 200.0
 
 
 class TestClusterFailoverExperiment:

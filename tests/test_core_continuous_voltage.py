@@ -95,3 +95,50 @@ class TestVoltageSelector:
                                 f_max_hz=ghz(1.0), v_max=1.4))
         assert selector.min_voltage(0, 0, ghz(1.0)) == pytest.approx(
             1.3, abs=0.01)
+
+
+class TestContinuousUnderControlLoops:
+    """The variant runs wherever the base scheduler runs: the daemon always
+    passes a frequency ceiling, the coordinator always passes floors."""
+
+    def test_runs_under_the_daemon(self):
+        from repro.core.daemon import DaemonConfig, FvsstDaemon
+        from repro.sim.driver import Simulation
+        from repro.sim.machine import MachineConfig, SMPMachine
+        from repro.workloads.profiles import profile_by_name
+
+        machine = SMPMachine(MachineConfig(num_cores=2), seed=1)
+        machine.assign(0, profile_by_name("mcf").job(loop=True))
+        machine.assign(1, profile_by_name("gzip").job(loop=True))
+        daemon = FvsstDaemon(
+            machine, DaemonConfig(counter_noise_sigma=0.0),
+            scheduler=ContinuousFrequencyScheduler(machine.table,
+                                                   epsilon=0.04),
+            seed=2)
+        sim = Simulation(machine)
+        daemon.attach(sim)
+        sim.run_for(0.35)
+        passes = {e.time_s for e in daemon.log.schedule_entries}
+        assert len(passes) >= 3
+        for f in machine.frequency_vector_hz():
+            assert f in machine.table
+
+    def test_runs_under_the_coordinator(self):
+        from repro.cluster.coordinator import (
+            ClusterCoordinator,
+            CoordinatorConfig,
+        )
+        from repro.sim.cluster import Cluster
+        from repro.sim.driver import Simulation
+
+        cluster = Cluster.homogeneous(2, seed=3)
+        table = cluster.nodes[0].machine.table
+        coord = ClusterCoordinator(
+            cluster, CoordinatorConfig(counter_noise_sigma=0.0,
+                                       power_limit_w=300.0),
+            scheduler=ContinuousFrequencyScheduler(table, epsilon=0.04),
+            seed=4)
+        coord.attach(Simulation(cluster.machines))
+        schedule = coord.run_global_pass(0.0)
+        assert schedule.total_power_w <= 300.0
+        assert len(coord.log.schedule_entries) == len(schedule.assignments)
