@@ -44,7 +44,7 @@ bench-save:
 	pytest benchmarks/test_bench_hotpaths.py --benchmark-only \
 		--benchmark-json=$(BENCH_BASELINE)
 
-# Re-run the hot-path benches and fail on >3x mean regression vs the
+# Re-run the hot-path benches and fail on >3x median regression vs the
 # committed baseline.  CI's bench-smoke job runs this target, so the
 # per-bench ratios below are the only copy.
 bench-compare:

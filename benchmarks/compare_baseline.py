@@ -6,7 +6,10 @@ Usage::
         [--max-ratio 3.0] [--max-ratio-for NAME=RATIO ...]
 
 Exits non-zero when any benchmark present in both files regressed by more
-than ``--max-ratio`` on mean time.  ``--max-ratio-for`` overrides the
+than ``--max-ratio`` on median time.  The median, not the mean: one host
+stall in one round can move a bench's mean by several times while its
+median holds, so a mean gate fails on noise the code did not cause.
+``--max-ratio-for`` overrides the
 threshold for one benchmark (repeatable) — microsecond-scale benches on
 shared CI runners need more headroom than millisecond ones.  Benchmarks
 missing from either side are reported but never fail the check (machines
@@ -22,12 +25,12 @@ import sys
 from pathlib import Path
 
 
-def _means(path: Path) -> dict[str, float]:
+def _medians(path: Path) -> dict[str, float]:
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         sys.exit(f"error: cannot read benchmark JSON {path}: {exc}")
-    return {b["name"]: float(b["stats"]["mean"])
+    return {b["name"]: float(b["stats"]["median"])
             for b in data.get("benchmarks", [])}
 
 
@@ -36,8 +39,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("baseline", type=Path)
     parser.add_argument("current", type=Path)
     parser.add_argument("--max-ratio", type=float, default=3.0,
-                        help="fail when current mean exceeds baseline mean "
-                             "by more than this factor (default 3.0)")
+                        help="fail when current median exceeds baseline "
+                             "median by more than this factor (default 3.0)")
     parser.add_argument("--max-ratio-for", action="append", default=[],
                         metavar="NAME=RATIO",
                         help="per-benchmark threshold override "
@@ -54,24 +57,24 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError:
             sys.exit(f"error: bad ratio in --max-ratio-for {spec!r}")
 
-    baseline = _means(args.baseline)
-    current = _means(args.current)
+    baseline = _medians(args.baseline)
+    current = _medians(args.current)
     failures = []
     width = max((len(n) for n in current), default=4)
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  ratio")
     for name in sorted(current):
-        mean = current[name]
+        median = current[name]
         base = baseline.get(name)
         if base is None:
-            print(f"{name:<{width}}  {'(new)':>12}  {mean:>12.3e}      -")
+            print(f"{name:<{width}}  {'(new)':>12}  {median:>12.3e}      -")
             continue
-        ratio = mean / base if base > 0 else float("inf")
+        ratio = median / base if base > 0 else float("inf")
         limit = overrides.get(name, args.max_ratio)
         flag = ""
         if ratio > limit:
             failures.append((name, ratio))
             flag = f"  REGRESSION (>{limit:g}x)"
-        print(f"{name:<{width}}  {base:>12.3e}  {mean:>12.3e}  "
+        print(f"{name:<{width}}  {base:>12.3e}  {median:>12.3e}  "
               f"{ratio:5.2f}{flag}")
     for name in sorted(set(baseline) - set(current)):
         print(f"{name:<{width}}  {baseline[name]:>12.3e}  {'(absent)':>12}"
@@ -79,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if failures:
         print(f"\n{len(failures)} benchmark(s) regressed beyond their "
-              f"threshold vs the baseline mean.")
+              f"threshold vs the baseline median.")
         return 1
     print("\nno regressions beyond the threshold.")
     return 0

@@ -89,7 +89,9 @@ class NodeAgent:
     # -- crash state -------------------------------------------------------------
 
     def crashed(self, now_s: float) -> bool:
-        """Whether the agent is down at ``now_s`` (manual or scheduled)."""
+        """Whether the agent is down at ``now_s``: a manual
+        :meth:`~repro.sim.node.ClusterNode.crash` (honoured with or without
+        a fault plan) or a scheduled crash window of the plan."""
         if self.node.crashed:
             return True
         return (self.faults is not None

@@ -1,34 +1,38 @@
 """The global cluster coordinator.
 
 Runs the Figure 3 algorithm across every processor of every node under one
-global power limit.  Every scheduling period ``T`` it synchronously
-collects a report from each agent (paying network round trips), converts
-the reports to processor views through the predictor, schedules, and ships
-per-node frequency commands whose *application is delayed by the network*
-— so the measured response time to a power-limit trigger includes the
+global power limit.  Every scheduling period ``T`` it collects a report
+from each agent (paying network round trips), converts the reports to
+processor views through the predictor, schedules, and ships per-node
+frequency commands whose *application is delayed by the network* — so the
+measured response time to a power-limit trigger includes the
 communication the paper says ``T`` amortises.
 
-With a :class:`~repro.cluster.faults.FaultSchedule` installed the
-coordinator runs every pass in *degraded mode*:
+There is one pass, and it assumes the control plane can fail:
 
-* report collection tolerates drops, partitions, crashed agents, and (when
+* report collection tolerates drops, partitions, crashed agents (a
+  :class:`~repro.cluster.faults.CrashWindow` or a manual
+  :meth:`~repro.sim.node.ClusterNode.crash`), and (when
   ``report_timeout_s`` is set) late replies — a node that misses the pass
   keeps its counter windows for the next one;
-* missing nodes are scheduled from a last-known-good signature cache while
-  within ``staleness_bound_s``; beyond it the node is *lost* and pinned
+* missing nodes are scheduled from their last fresh report while within
+  ``staleness_bound_s``; beyond it the node is *lost* and pinned
   pessimistically to the frequency floor, with its floor power carved out
   of the global budget — so total scheduled power honours the active
   limits no matter how many reports went missing (the paper's safety
   property, extended to a faulty control plane);
-* commands carry explicit processor ids, are acknowledged by the agent,
-  and are retransmitted (bounded by ``command_retries``) until acked;
-  application is idempotent and stale commands are discarded;
+* commands carry explicit processor ids and are idempotent; a crashed
+  agent drops them, and stale commands are discarded;
 * per-node health (``healthy``/``stale``/``lost``/``recovered``) is
   tracked and surfaced through telemetry (``node_lost``/``node_recovered``
   events, drop/retry/stale-pass counters, health gauges).
 
-Without faults, none of the degraded machinery runs: the fault-free pass
-is byte-identical to the classic synchronous one.
+Only a :class:`~repro.cluster.faults.FaultSchedule` can lose a message in
+flight, so only with one installed are commands acknowledged and
+retransmitted (bounded by ``command_retries``).  Without a plan no
+message is lost or jittered and no ack or retry event is scheduled: the
+pass is the classic synchronous one, byte for byte, except that manual
+crashes are honoured.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from ..core.predictor import CounterPredictor, PredictorProtocol
 from ..core.scheduler import (
     FrequencyVoltageScheduler,
     ProcessorAssignment,
-    ProcessorView,
     Schedule,
     ViewBatch,
 )
@@ -63,7 +66,7 @@ from ..telemetry import (
     Telemetry,
     get_telemetry,
 )
-from ..units import check_non_negative, check_positive
+from ..units import check_positive
 from .agent import NodeAgent
 from .faults import FaultSchedule
 from .nested import NestedBudgetScheduler
@@ -95,23 +98,17 @@ class CoordinatorConfig:
     power_limit_w: float | None = None
     counter_noise_sigma: float = 0.005
     idle_detection: bool = False
-    #: Degraded mode: a report whose round trip exceeds this is treated as
-    #: missing for the pass (None = accept any delay).
+    #: A report whose round trip exceeds this is treated as missing for
+    #: the pass (None = accept any delay).
     report_timeout_s: float | None = None
-    #: Degraded mode: how long a cached node signature may serve before
-    #: the node counts as lost (None = 3 scheduling periods).
+    #: How long a node's last fresh report may serve before the node
+    #: counts as lost (None = 3 scheduling periods).
     staleness_bound_s: float | None = None
-    #: Degraded mode: retransmits of an unacknowledged command.
+    #: With a fault plan: retransmits of an unacknowledged command.
     command_retries: int = 2
-    #: Degraded mode: how long to wait for a command ack before resending.
+    #: With a fault plan: how long to wait for a command ack before
+    #: resending.
     retry_timeout_s: float = 0.005
-    #: Opt-in signature-stability fast path: a pass whose signatures all
-    #: lie within this relative tolerance of the batch that produced the
-    #: last schedule — same processors, same idle flags, same limits —
-    #: reuses that schedule without rescheduling or re-dispatching.  None
-    #: (the default) disables the fast path, leaving every output
-    #: byte-identical.
-    reschedule_tolerance: float | None = None
     #: SLO mode: a request-latency target (seconds at ``slo_percentile``).
     #: Each pass translates the bound serving traffic's per-node demand
     #: into per-node frequency *floors* (via the M/M/1 latency model) and
@@ -121,8 +118,7 @@ class CoordinatorConfig:
     #: budget below the floor power comes back ``infeasible`` (and counts
     #: as a breach), mirroring ``on_infeasible="floor"``.  Requires
     #: :meth:`ClusterCoordinator.bind_serving`.  None disables SLO mode
-    #: (the fault-free pass is then byte-identical to a coordinator
-    #: without it).
+    #: (the pass is then byte-identical to a coordinator without it).
     slo_p99_target_s: float | None = None
     #: The percentile the SLO target constrains (p99 by default).
     slo_percentile: float = 99.0
@@ -150,9 +146,6 @@ class CoordinatorConfig:
         if self.command_retries < 0:
             raise ClusterError("command_retries must be non-negative")
         check_positive(self.retry_timeout_s, "retry_timeout_s")
-        if self.reschedule_tolerance is not None:
-            check_non_negative(self.reschedule_tolerance,
-                               "reschedule_tolerance")
         if self.slo_p99_target_s is not None:
             check_positive(self.slo_p99_target_s, "slo_p99_target_s")
         if not 0.0 < self.slo_percentile < 100.0:
@@ -216,12 +209,12 @@ class ClusterCoordinator:
         self.last_schedule: Schedule | None = None
         #: Wall-clock cost of the most recent global pass.
         self.last_pass_wall_s: float | None = None
-        #: Degraded-mode health per node: healthy/stale/lost/recovered.
+        #: Health per node: healthy/stale/lost/recovered.
         self.node_health: dict[int, str] = {
             nid: "healthy" for nid in self._agents_by_id
         }
-        #: Last fresh per-node views: node_id -> (report time, views).
-        self._view_cache: dict[int, tuple[float, list[ProcessorView]]] = {}
+        #: Last fresh report per node (its ``time_s`` dates it).
+        self._report_cache: dict[int, NodeReport] = {}
         # Plain resilience tallies (kept even with telemetry disabled so
         # experiments and tests can read them cheaply).
         self.reports_dropped = 0
@@ -241,13 +234,6 @@ class ClusterCoordinator:
         self.slo_floor_violations = 0
         #: Passes whose floors alone made the power budget infeasible.
         self.slo_infeasible_passes = 0
-        #: Passes served from the last schedule by the signature-stability
-        #: fast path (``reschedule_tolerance``).
-        self.passes_skipped = 0
-        #: The view batch and limits that produced ``last_schedule`` (only
-        #: tracked when the fast path is armed).
-        self._last_sched_batch: ViewBatch | None = None
-        self._last_sched_limits: tuple | None = None
         self._sim: Simulation | None = None
         m = self.telemetry.metrics
         self._m_passes = m.counter(
@@ -294,10 +280,6 @@ class ClusterCoordinator:
             "cluster_stale_passes_total",
             "Global passes that scheduled at least one node from cached "
             "or floor views")
-        self._m_passes_skipped = m.counter(
-            "cluster_passes_skipped_total",
-            "Global passes that reused the last schedule because every "
-            "signature stayed within reschedule_tolerance")
         self._m_health = {
             state: m.gauge(
                 f"cluster_nodes_{state}",
@@ -386,28 +368,6 @@ class ClusterCoordinator:
                 self._m_slo_violations.inc(violations)
 
     # -- the global pass ---------------------------------------------------------------
-
-    def _collect(self, now_s: float) -> tuple[list[NodeReport], float]:
-        """Gather one report per node; returns (reports, collection delay)."""
-        tel = self.telemetry
-        reports = []
-        worst_delay = 0.0
-        report_bytes = 0
-        for agent in self.agents:
-            report = agent.make_report(now_s)
-            agent.confirm_report()
-            # Request goes out, report comes back: one round trip, with the
-            # collections overlapping across nodes (asynchronous gather).
-            size = message_size_bytes(report)
-            delay = self.cluster.network.round_trip_s(_CONTROL_FRAME_BYTES,
-                                                      size)
-            worst_delay = max(worst_delay, delay)
-            report_bytes += size
-            reports.append(report)
-        if tel.enabled:
-            self._m_report_bytes.inc(report_bytes)
-            self._m_collect_delay.observe(worst_delay)
-        return reports, worst_delay
 
     def _view_batch_from_reports(self, reports: list[NodeReport]
                                  ) -> ViewBatch:
@@ -514,69 +474,8 @@ class ClusterCoordinator:
         return schedule
 
     def _global_pass_body(self, now_s: float) -> tuple[Schedule, float]:
-        if self.faults is not None:
-            return self._global_pass_body_degraded(now_s)
-        reports, collect_delay = self._collect(now_s)
-        floors = self._slo_floors(now_s)
-        track = self.config.reschedule_tolerance is not None
-        views = self._view_batch_from_reports(reports)
-        if track:
-            reused = self._try_reuse_schedule(views)
-            if reused is not None:
-                return reused, collect_delay
-        schedule = self.scheduler.schedule(views, self.power_limit_w,
-                                           node_limits_w=self.node_limits_w,
-                                           min_freqs_hz=floors or None,
-                                           on_infeasible="floor")
-        if track:
-            self._last_sched_batch = views
-            self._last_sched_limits = (self.power_limit_w,
-                                       dict(self.node_limits_w),
-                                       dict(self.slo_floors_hz))
-        decision_time = now_s + collect_delay
-        self._dispatch(schedule, decision_time)
-        return schedule, collect_delay
-
-    def _try_reuse_schedule(self, batch: ViewBatch) -> Schedule | None:
-        """The signature-stability fast path: reuse the last schedule when
-        nothing that could change the decision has moved.
-
-        The anchor is the batch that *produced* the last schedule (not the
-        previous tick's batch), so slow drift cannot creep arbitrarily far
-        from the last scheduled operating point."""
-        last = self._last_sched_batch
-        schedule = self.last_schedule
-        if last is None or schedule is None:
-            return None
-        if self._last_sched_limits != (self.power_limit_w,
-                                       self.node_limits_w,
-                                       self.slo_floors_hz):
-            return None
-        tol = self.config.reschedule_tolerance
-        if (len(batch) != len(last)
-                or not np.array_equal(batch.node_ids, last.node_ids)
-                or not np.array_equal(batch.proc_ids, last.proc_ids)
-                or not np.array_equal(batch.has_signature,
-                                      last.has_signature)
-                or not np.array_equal(batch.idle_signaled,
-                                      last.idle_signaled)):
-            return None
-        if not (np.allclose(batch.core_cpi, last.core_cpi,
-                            rtol=tol, atol=0.0)
-                and np.allclose(batch.mem_time_per_instr_s,
-                                last.mem_time_per_instr_s,
-                                rtol=tol, atol=0.0)):
-            return None
-        self.passes_skipped += 1
-        if self.telemetry.enabled:
-            self._m_passes_skipped.inc()
-        return schedule
-
-    # -- degraded mode -------------------------------------------------------------
-
-    def _global_pass_body_degraded(self, now_s: float
-                                   ) -> tuple[Schedule, float]:
-        """One global pass over a faulty control plane."""
+        """Collect what arrives, schedule, dispatch; returns the schedule
+        and the collection delay."""
         tel = self.telemetry
         network = self.cluster.network
         timeout = self.config.report_timeout_s
@@ -590,6 +489,8 @@ class ClusterCoordinator:
             if agent.crashed(now_s):
                 dropped += 1
                 continue
+            # Request goes out, report comes back: one round trip, with the
+            # collections overlapping across nodes (asynchronous gather).
             request = network.try_send(_CONTROL_FRAME_BYTES, now_s=now_s,
                                        node_id=node_id)
             if request is None:
@@ -618,39 +519,38 @@ class ClusterCoordinator:
             if dropped:
                 self._m_reports_dropped.inc(dropped)
 
-        views: list[ProcessorView] = []
-        stale_nodes: list[int] = []
+        # Fresh reports where they arrived, the last fresh one within the
+        # staleness bound where not; the rest are lost.
+        reports: list[NodeReport] = []
         lost_nodes: list[int] = []
         for agent in self.agents:
             node_id = agent.node.node_id
-            if node_id in fresh:
-                node_views = self._view_batch_from_reports(
-                    [fresh[node_id]]).views()
-                self._view_cache[node_id] = (now_s, node_views)
+            report = fresh.get(node_id)
+            if report is not None:
+                self._report_cache[node_id] = report
                 recovered = self.node_health[node_id] == "lost"
                 self._set_health(node_id, "recovered" if recovered
                                  else "healthy", now_s)
-                views.extend(node_views)
+                reports.append(report)
                 continue
-            cached = self._view_cache.get(node_id)
-            if (cached is not None and now_s - cached[0] <= bound
+            cached = self._report_cache.get(node_id)
+            if (cached is not None and now_s - cached.time_s <= bound
                     and self.node_health[node_id] != "lost"):
-                stale_nodes.append(node_id)
                 self._set_health(node_id, "stale", now_s)
-                views.extend(cached[1])
+                reports.append(cached)
             else:
                 lost_nodes.append(node_id)
                 self._set_health(node_id, "lost", now_s)
-        if stale_nodes or lost_nodes:
+        if len(fresh) < len(self.agents):
             self.stale_passes += 1
             if tel.enabled:
                 self._m_stale_passes.inc()
         self._update_health_gauges()
 
-        schedule = self._schedule_degraded(views, lost_nodes,
-                                           self._slo_floors(now_s))
-        decision_time = now_s + worst_delay
-        self._dispatch(schedule, decision_time)
+        schedule = self._schedule_degraded(
+            self._view_batch_from_reports(reports), lost_nodes,
+            self._slo_floors(now_s))
+        self._dispatch(schedule, now_s + worst_delay)
         return schedule, worst_delay
 
     def _set_health(self, node_id: int, state: str, now_s: float) -> None:
@@ -676,10 +576,8 @@ class ClusterCoordinator:
         for state, gauge in self._m_health.items():
             gauge.set(counts[state])
 
-    def _schedule_degraded(self, views: list[ProcessorView],
-                           lost_nodes: list[int],
-                           floors: dict[int, float] | None = None
-                           ) -> Schedule:
+    def _schedule_degraded(self, views: ViewBatch, lost_nodes: list[int],
+                           floors: dict[int, float]) -> Schedule:
         """Schedule live views, with lost nodes pinned to the floor.
 
         Lost nodes are commanded to ``f_min`` — lifted to their SLO floor
@@ -690,8 +588,12 @@ class ClusterCoordinator:
         all.
         """
         sched = self.scheduler
+        if not lost_nodes:
+            return sched.schedule(views, self.power_limit_w,
+                                  node_limits_w=self.node_limits_w,
+                                  min_freqs_hz=floors or None,
+                                  on_infeasible="floor")
         f_min = sched.table.f_min_hz
-        floors = floors or {}
         floor_assignments: list[ProcessorAssignment] = []
         floor_power = 0.0
         infeasible = False
@@ -719,7 +621,7 @@ class ClusterCoordinator:
         self.floor_scheduled_procs += len(floor_assignments)
 
         limit = self.power_limit_w
-        if not views:
+        if not len(views):
             # Every node is lost: the whole cluster sits at the floor.
             total = floor_power
             if limit is not None and total > limit + 1e-9:
@@ -790,25 +692,18 @@ class ClusterCoordinator:
                 voltages=tuple(a.voltage for a in assignments),
                 proc_ids=tuple(a.proc_id for a in assignments),
             )
-            if self.faults is None:
-                size = message_size_bytes(command)
-                delay = self.cluster.network.send(size)
-                if self.telemetry.enabled:
-                    self._m_commands.inc()
-                    self._m_command_bytes.inc(size)
-                    self._m_command_delay.observe(delay)
-                agent = self._agent_for(node_id)
-                apply_at = decision_time_s + delay
-                self.sim.at(apply_at,
-                            lambda t, a=agent, c=command: a.apply_command(c, t),
-                            name=f"apply-cmd-n{node_id}")
-            else:
-                self._send_command(command, decision_time_s, attempt=0,
-                                   state={"acked": False})
+            # Only a fault plan loses messages in flight, so only then is
+            # a command acknowledged and retransmitted.  Without one, an
+            # ack or retry event would split the fleet's advance spans
+            # (and so its jitter draws) for nothing.
+            state = None if self.faults is None else {"acked": False}
+            self._send_command(command, decision_time_s, attempt=0,
+                               state=state)
 
     def _send_command(self, command: FrequencyCommand, now_s: float,
-                      attempt: int, state: dict) -> None:
-        """One (re)transmission of a command over the faulty network."""
+                      attempt: int, state: dict | None) -> None:
+        """One (re)transmission of a command; ``state`` tracks its ack
+        (None: unacknowledged, never retransmitted)."""
         node_id = command.node_id
         tel = self.telemetry
         size = message_size_bytes(command)
@@ -832,7 +727,7 @@ class ClusterCoordinator:
                 now_s + delay,
                 lambda t, c=command, s=state: self._deliver_command(c, t, s),
                 name=f"apply-cmd-n{node_id}")
-        if attempt < self.config.command_retries:
+        if state is not None and attempt < self.config.command_retries:
             self.sim.at(
                 now_s + self.config.retry_timeout_s,
                 lambda t, c=command, s=state, a=attempt:
@@ -846,8 +741,9 @@ class ClusterCoordinator:
         self._send_command(command, now_s, prev_attempt + 1, state)
 
     def _deliver_command(self, command: FrequencyCommand, now_s: float,
-                         state: dict) -> None:
-        """A command arrived at its node: apply and acknowledge."""
+                         state: dict | None) -> None:
+        """A command arrived at its node: apply and, when tracked,
+        acknowledge."""
         agent = self._agent_for(command.node_id)
         if agent.crashed(now_s):
             self.commands_dropped += 1
@@ -855,6 +751,8 @@ class ClusterCoordinator:
                 self._m_commands_dropped.inc()
             return
         agent.apply_command(command, now_s)
+        if state is None:
+            return
         ack_delay = self.cluster.network.try_send(
             _CONTROL_FRAME_BYTES, now_s=now_s, node_id=command.node_id)
         if ack_delay is not None:

@@ -68,7 +68,8 @@ class FaultSchedule:
     One object describes the whole run: the network-level fault plan plus
     agent crash windows.  Install it on a cluster (or hand it to a
     :class:`~repro.cluster.coordinator.ClusterCoordinator`, which installs
-    it) and the control plane runs in degraded mode.
+    it) and the network loses and jitters messages; the coordinator then
+    acknowledges and retransmits its commands.
     """
 
     def __init__(self, *, network: NetworkFaults | None = None,

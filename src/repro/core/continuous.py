@@ -21,6 +21,7 @@ from typing import Literal, Sequence
 from .. import constants
 from ..model.ideal import ideal_frequency
 from ..power.table import FrequencyPowerTable
+from ..telemetry import Telemetry
 from .scheduler import FrequencyVoltageScheduler, ProcessorView
 from .voltage import VoltageSelector
 
@@ -39,9 +40,11 @@ class ContinuousFrequencyScheduler(FrequencyVoltageScheduler):
     def __init__(self, table: FrequencyPowerTable, *,
                  epsilon: float = constants.DEFAULT_EPSILON,
                  voltage_selector: VoltageSelector | None = None,
-                 quantize: Literal["up", "nearest"] = "up") -> None:
+                 quantize: Literal["up", "nearest"] = "up",
+                 telemetry: Telemetry | None = None) -> None:
         super().__init__(table, epsilon=epsilon,
-                         voltage_selector=voltage_selector)
+                         voltage_selector=voltage_selector,
+                         telemetry=telemetry)
         if quantize not in ("up", "nearest"):
             raise ValueError(f"unknown quantize mode {quantize!r}")
         self.quantize = quantize

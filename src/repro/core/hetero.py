@@ -24,6 +24,7 @@ import numpy as np
 from .. import constants
 from ..errors import SchedulingError
 from ..power.table import FrequencyPowerTable
+from ..telemetry import Telemetry
 from .scheduler import FrequencyVoltageScheduler, ProcessorView
 from .voltage import VoltageSelector
 
@@ -35,9 +36,11 @@ class HeterogeneousScheduler(FrequencyVoltageScheduler):
 
     def __init__(self, default_table: FrequencyPowerTable, *,
                  epsilon: float = constants.DEFAULT_EPSILON,
-                 voltage_selector: VoltageSelector | None = None) -> None:
+                 voltage_selector: VoltageSelector | None = None,
+                 telemetry: Telemetry | None = None) -> None:
         super().__init__(default_table, epsilon=epsilon,
-                         voltage_selector=voltage_selector)
+                         voltage_selector=voltage_selector,
+                         telemetry=telemetry)
         self._tables: dict[tuple[int, int], FrequencyPowerTable] = {}
 
     def set_processor_table(self, node_id: int, proc_id: int,

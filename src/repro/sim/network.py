@@ -12,9 +12,9 @@ treat as the common case: independent per-message loss, multiplicative
 latency jitter, and partition windows that cut a subset of nodes off the
 fabric.  All randomness is drawn from one seeded generator
 (:mod:`repro.sim.rng`), so a fault run is reproducible from its seed.
-Fault-aware callers use :meth:`Network.try_send`; the plain
-:meth:`Network.send` path is untouched, so fault-free simulations are
-bit-identical with or without this extension present.
+The control plane sends every message through :meth:`Network.try_send`,
+which without a plan is exactly :meth:`Network.send` — no drop, no jitter,
+no randomness consumed.
 """
 
 from __future__ import annotations
@@ -132,10 +132,6 @@ class Network:
         self.messages_sent += 1
         self.bytes_sent += payload_bytes
         return delay
-
-    def round_trip_s(self, payload_bytes: int, reply_bytes: int = 64) -> float:
-        """Request/response delay (used for synchronous collections)."""
-        return self.send(payload_bytes) + self.send(reply_bytes)
 
     def try_send(self, payload_bytes: int, *, now_s: float,
                  node_id: int) -> float | None:

@@ -22,8 +22,9 @@ class ClusterNode:
         self.node_id = node_id
         self.machine = machine
         #: Manual crash injection: while True the node's agent is down
-        #: (no samples, no reports, no command application).  The
-        #: scheduled analogue is :class:`repro.cluster.faults.CrashWindow`.
+        #: (no samples, no reports, no command application), with or
+        #: without a fault plan installed.  The scheduled analogue is
+        #: :class:`repro.cluster.faults.CrashWindow`.
         self.crashed = False
 
     @classmethod
@@ -33,7 +34,12 @@ class ClusterNode:
         return cls(node_id, SMPMachine(config, seed=seed))
 
     def crash(self) -> None:
-        """Take the node's agent down (fault injection)."""
+        """Take the node's agent down (fault injection).
+
+        The coordinator stops collecting its reports (the node goes stale,
+        then lost) and drops the commands that reach it, whether or not a
+        :class:`~repro.cluster.faults.FaultSchedule` is installed.
+        """
         self.crashed = True
 
     def recover(self) -> None:

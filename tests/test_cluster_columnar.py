@@ -1,8 +1,8 @@
 """The columnar control plane: batched predictors, ViewBatch, the
-columnar log, the reschedule fast path — and the equivalence of it all
-with the per-object reference pass (:class:`ObjectPathCoordinator`, which
-builds one sample, signature and view object per processor and records
-the log entry by entry).
+columnar log — and the equivalence of it all with the per-object
+reference pass (:class:`ObjectPathCoordinator`, which builds one sample,
+signature and view object per processor and records the log entry by
+entry).
 """
 
 import dataclasses
@@ -432,86 +432,6 @@ class TestPowerSeriesDedup:
         at_now = power[np.flatnonzero(times == now)]
         limited = coord.last_schedule.total_power_w
         assert at_now.tolist() == [limited]
-
-
-class TestRescheduleTolerance:
-    def test_validation(self):
-        with pytest.raises(Exception):
-            CoordinatorConfig(reschedule_tolerance=-0.1)
-
-    def test_default_off(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        coord = ClusterCoordinator(
-            cluster, CoordinatorConfig(counter_noise_sigma=0.0), seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.45)
-        assert coord.passes_skipped == 0
-
-    def test_stable_signatures_skip_and_reuse(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        telemetry = Telemetry()
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(counter_noise_sigma=0.0,
-                              reschedule_tolerance=10.0),
-            telemetry=telemetry, seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.15)           # first real pass: schedules + anchors
-        first = coord.last_schedule
-        assert coord.passes_skipped == 0
-
-        def commands_sent():
-            snap = telemetry.snapshot()["metrics"]
-            series = snap["cluster_commands_sent_total"]["series"]
-            return sum(pt["value"] for pt in series)
-
-        sent_before = commands_sent()
-        sim.run_for(0.3)            # steady workload: passes skip
-        assert coord.passes_skipped >= 1
-        assert coord.last_schedule is first
-        # Skipped passes dispatch nothing...
-        assert commands_sent() == sent_before
-        # ...but still record, so the log stays gap-free.
-        passes = {e.time_s for e in coord.log.schedule_entries}
-        assert len(passes) >= 3
-        snap = telemetry.snapshot()["metrics"]
-        skipped_series = snap["cluster_passes_skipped_total"]["series"]
-        assert sum(pt["value"] for pt in skipped_series) == \
-            coord.passes_skipped
-
-    def test_limit_change_invalidates_reuse(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(counter_noise_sigma=0.0,
-                              reschedule_tolerance=10.0),
-            seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.45)
-        skipped = coord.passes_skipped
-        assert skipped >= 1
-        before = coord.last_schedule
-        coord.set_power_limit(260.0, sim.now_s)
-        assert coord.passes_skipped == skipped   # trigger pass ran for real
-        assert coord.last_schedule is not before
-        assert coord.last_schedule.power_limit_w == 260.0
-
-    def test_zero_tolerance_never_skips_under_noise(self):
-        cluster = quiet_cluster(nodes=2, procs=2, seed=5)
-        cluster.assign_all(tiered_cluster_assignment(2, 2, web_nodes=1,
-                                                     app_nodes=1))
-        coord = ClusterCoordinator(
-            cluster,
-            CoordinatorConfig(counter_noise_sigma=0.01,
-                              reschedule_tolerance=0.0),
-            seed=6)
-        sim = Simulation(cluster.machines)
-        coord.attach(sim)
-        sim.run_for(0.45)
-        assert coord.passes_skipped == 0
 
 
 class TestDispatchGrouping:

@@ -375,3 +375,49 @@ class TestAgentCrash:
         assert not agent.crashed(0.01)
         assert agent.crashed(0.03)
         assert not agent.crashed(0.05)
+
+
+class TestOnePassWithoutPlan:
+    """The coordinator runs one pass with or without a fault plan: a
+    manual crash and the health gauges need no plan installed."""
+
+    def test_manual_crash_honoured_without_plan(self):
+        from repro.workloads.tiers import tiered_cluster_assignment
+
+        cluster = quiet_cluster(nodes=2, procs=2, seed=3)
+        cluster.assign_all(tiered_cluster_assignment(2, 2, web_nodes=1,
+                                                     app_nodes=1))
+        coord = ClusterCoordinator(
+            cluster, CoordinatorConfig(counter_noise_sigma=0.0),
+            faults=None, seed=4)
+        sim = Simulation(cluster.machines)
+        coord.attach(sim)
+        sim.run_for(0.25)
+        live, crashed = cluster.nodes
+        live_before = live.machine.frequency_vector_hz()
+        before = crashed.machine.frequency_vector_hz()
+        dropped = coord.commands_dropped
+        crashed.crash()
+        coord.set_power_limit(200.0, sim.now_s)
+        sim.run_for(0.05)
+        # The curtailment retuned the live node but not the crashed one,
+        # which is scheduled from its last report and drops the command.
+        assert live.machine.frequency_vector_hz() != live_before
+        assert crashed.machine.frequency_vector_hz() == before
+        assert coord.node_health[1] == "stale"
+        assert coord.commands_dropped > dropped
+
+    def test_health_gauges_set_without_plan(self):
+        from repro.telemetry import Telemetry
+
+        cluster = quiet_cluster(nodes=3, procs=2, seed=3)
+        telemetry = Telemetry()
+        coord = ClusterCoordinator(cluster, telemetry=telemetry, seed=4)
+        sim = Simulation(cluster.machines)
+        coord.attach(sim)
+        sim.run_for(0.05)
+        coord.run_global_pass(sim.now_s)
+        metrics = telemetry.snapshot()["metrics"]
+        assert metrics["cluster_nodes_healthy"]["series"][0]["value"] == 3
+        assert metrics["cluster_nodes_stale"]["series"][0]["value"] == 0
+        assert metrics["cluster_nodes_lost"]["series"][0]["value"] == 0

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import InfeasibleBudgetError, SchedulingError
+from repro.core.continuous import ContinuousFrequencyScheduler
+from repro.core.hetero import HeterogeneousScheduler
 from repro.core.scheduler import FrequencyVoltageScheduler, ProcessorView
 from repro.model.ipc import WorkloadSignature
 from repro.power.table import POWER4_TABLE, WORKED_EXAMPLE_TABLE
+from repro.telemetry import Telemetry
 from repro.units import ghz, mhz
 
 
@@ -208,3 +211,16 @@ class TestVoltages:
             FrequencyVoltageScheduler(POWER4_TABLE, epsilon=0.0)
         with pytest.raises(SchedulingError):
             FrequencyVoltageScheduler(POWER4_TABLE, epsilon=1.0)
+
+
+
+class TestSubclassTelemetry:
+    @pytest.mark.parametrize(
+        "cls", [ContinuousFrequencyScheduler, HeterogeneousScheduler],
+        ids=lambda cls: cls.__name__)
+    def test_pass_counts_in_given_registry(self, cls):
+        tel = Telemetry()
+        sched = cls(POWER4_TABLE, telemetry=tel)
+        sched.schedule([view(0, sig(2.0)), view(1, sig(0.1))])
+        metrics = tel.snapshot()["metrics"]
+        assert metrics["scheduler_passes_total"]["series"][0]["value"] == 1

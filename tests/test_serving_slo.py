@@ -592,9 +592,8 @@ class TestCoordinatorSLO:
             CoordinatorConfig(slo_p99_target_s=0.02, slo_percentile=100.0)
 
     def test_fast_path_invalidated_by_floor_change(self):
-        # The reschedule fast path may only reuse a schedule produced
-        # under the same floors; a rate change that moves the floor must
-        # force a fresh pass.
+        # A rate change that moves the floor must reach the next pass's
+        # floors.
         sim, coordinator, traffic = self._setup(
             target_s=0.03, budget_w=None, rate=500.0)
         sim.run_for(0.35)

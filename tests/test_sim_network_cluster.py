@@ -25,12 +25,6 @@ class TestNetwork:
         assert net.messages_sent == 2
         assert net.bytes_sent == 300
 
-    def test_round_trip_counts_two_messages(self):
-        net = Network()
-        delay = net.round_trip_s(100, 50)
-        assert net.messages_sent == 2
-        assert delay > net.config.base_latency_s
-
     def test_negative_payload_rejected(self):
         with pytest.raises(ClusterError):
             Network().delay_for(-1)
